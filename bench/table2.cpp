@@ -81,7 +81,6 @@ struct bench_config {
   int repeats = 3;
   bool fastpath = true;
   bool ranges = true;
-  std::size_t shadow_hint = 0;  // 0 = use the per-row workload hint
   unsigned detect_threads = 0;  // 0 = inline detector, N = pipelined
   bool exec_parallel = false;   // --exec=parallel-detect
   unsigned workers = 4;         // --threads: engine workers in parallel mode
@@ -95,12 +94,10 @@ struct bench_config {
 
 // Runs one benchmark in both configurations. `make` returns a fresh workload
 // object; workloads are single-use because shadow memory is keyed by the
-// addresses the run touches. `workload_hint` is the expected distinct
-// location count, used to pre-size shadow storage unless --shadow-hint
-// overrides it.
+// addresses the run touches.
 template <typename Make>
 row_result run_row(const std::string& name, Make make,
-                   const bench_config& cfg, std::size_t workload_hint,
+                   const bench_config& cfg,
                    paper_row paper) {
   row_result row;
   row.name = name;
@@ -119,8 +116,6 @@ row_result run_row(const std::string& name, Make make,
   futrace::detect::race_detector::options det_opts;
   det_opts.enable_fastpath = cfg.fastpath;
   det_opts.enable_range_checks = cfg.ranges;
-  det_opts.shadow_reserve =
-      cfg.shadow_hint != 0 ? cfg.shadow_hint : workload_hint;
   det_opts.detect_threads = cfg.detect_threads;
   det_opts.precede_backend = cfg.backend;
   det_opts.instrument_heap = cfg.instrument_heap;
@@ -269,9 +264,6 @@ int main(int argc, char** argv) {
               "disable the direct/memo/stamp fast paths (baseline mode)")
       .define("no-ranges", "false",
               "decompose bulk accesses per element (PR 2 scalar path)")
-      .define("shadow-hint", "0",
-              "pre-size shadow storage for this many locations "
-              "(0 = per-row workload estimate)")
       .define("detect-threads", "0",
               "stream events to N address-sharded checker threads "
               "(0 = inline detection on the execution thread)")
@@ -306,7 +298,6 @@ int main(int argc, char** argv) {
   cfg.repeats = static_cast<int>(flags.get_int("repeats"));
   cfg.fastpath = !flags.get_bool("no-fastpath");
   cfg.ranges = !flags.get_bool("no-ranges");
-  cfg.shadow_hint = static_cast<std::size_t>(flags.get_int("shadow-hint"));
   cfg.detect_threads = static_cast<unsigned>(flags.get_int("detect-threads"));
   const std::string exec = flags.get_string("exec");
   if (exec == "parallel-detect") {
@@ -367,8 +358,6 @@ int main(int argc, char** argv) {
   std::size_t pow2_scale = 1;
   while (pow2_scale * 2 <= scale) pow2_scale *= 2;
 
-  // Per-row workload hints: expected distinct shared locations, used to
-  // pre-size shadow storage (see options::shadow_reserve).
   if (want("Series-af")) {
     rows.push_back(run_row(
         "Series-af",
@@ -376,7 +365,7 @@ int main(int argc, char** argv) {
           return std::make_unique<series_workload>(series_config{
               .coefficients = 2000 * scale, .integration_points = 150});
         },
-        cfg, 4000 * scale, {"999,999", "0", "1.00"}));
+        cfg, {"999,999", "0", "1.00"}));
   }
   if (want("Series-future")) {
     rows.push_back(run_row(
@@ -387,7 +376,7 @@ int main(int argc, char** argv) {
                             .integration_points = 150,
                             .use_futures = true});
         },
-        cfg, 4000 * scale, {"999,999", "0", "1.00"}));
+        cfg, {"999,999", "0", "1.00"}));
   }
   if (want("Crypt-af")) {
     rows.push_back(run_row(
@@ -396,7 +385,7 @@ int main(int argc, char** argv) {
           return std::make_unique<crypt_workload>(
               crypt_config{.bytes = 262144 * scale});
         },
-        cfg, 3 * 262144 * scale, {"12,500,000", "0", "7.77"}));
+        cfg, {"12,500,000", "0", "7.77"}));
   }
   if (want("Crypt-future")) {
     rows.push_back(run_row(
@@ -405,7 +394,7 @@ int main(int argc, char** argv) {
           return std::make_unique<crypt_workload>(crypt_config{
               .bytes = 262144 * scale, .use_futures = true});
         },
-        cfg, 3 * 262144 * scale, {"12,500,000", "0", "8.26"}));
+        cfg, {"12,500,000", "0", "8.26"}));
   }
   if (want("Jacobi")) {
     const std::size_t n = 256 * pow2_scale + 2;
@@ -415,7 +404,7 @@ int main(int argc, char** argv) {
           return std::make_unique<jacobi_workload>(
               jacobi_config{.n = n, .tile = 32, .iterations = 8});
         },
-        cfg, 2 * n * n, {"8,192", "34,944", "8.05"}));
+        cfg, {"8,192", "34,944", "8.05"}));
   }
   if (want("Smith-Waterman")) {
     const std::size_t dim = 1000 * scale;
@@ -425,7 +414,7 @@ int main(int argc, char** argv) {
           return std::make_unique<sw_workload>(
               sw_config{.rows = dim, .cols = dim, .tile = 50});
         },
-        cfg, (dim + 1) * (dim + 1), {"1,608", "4,641", "9.92"}));
+        cfg, {"1,608", "4,641", "9.92"}));
   }
   if (want("Strassen")) {
     const std::size_t n = 128 * pow2_scale;
@@ -435,7 +424,7 @@ int main(int argc, char** argv) {
           return std::make_unique<strassen_workload>(
               strassen_config{.n = n, .cutoff = 32});
         },
-        cfg, 3 * n * n, {"30,811", "33,612", "5.35"}));
+        cfg, {"30,811", "33,612", "5.35"}));
   }
 
   text_table table({"Benchmark", "#Tasks", "#NTJoins", "#SharedMem",

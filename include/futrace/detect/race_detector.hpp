@@ -152,10 +152,6 @@ class race_detector final : public execution_observer {
     /// unoptimized detector exactly (the --no-fastpath differential mode);
     /// race verdicts per location are identical either way.
     bool enable_fastpath = true;
-    /// Expected number of distinct shared locations (the --shadow-hint
-    /// flag / workload hint); pre-sizes the hashed shadow tier to avoid
-    /// rehash storms mid-run. 0 = no hint.
-    std::size_t shadow_reserve = 0;
     /// Enables native checking of on_read_range/on_write_range events: one
     /// slab resolution per run, a tight per-cell loop with a run-local
     /// PRECEDE cache, and O(1) full-slab run summaries. Off decomposes

@@ -61,14 +61,6 @@ class ptr_map {
     return const_cast<ptr_map*>(this)->find(key);
   }
 
-  /// Pre-sizes the table so `expected` entries fit without a rehash (the
-  /// 50% load target is preserved). Never shrinks.
-  void reserve(std::size_t expected) {
-    std::size_t cap = 16;
-    while (cap < expected * 2) cap <<= 1;
-    if (cap > slots_.size()) rehash(cap);
-  }
-
   /// Rehashes down to the smallest power-of-two table that still meets the
   /// 50% load target for the current size (floor 16 slots). Epoch
   /// compaction calls this after a workload's peak so the steady-state

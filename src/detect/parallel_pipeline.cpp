@@ -1550,7 +1550,6 @@ void parallel_detector::begin(unsigned workers) {
     owner_opts.detect_threads = 0;
     owner_opts.fail_fast = false;
     owner_opts.trace_path.clear();
-    owner_opts.shadow_reserve = 0;  // the owner sees no access events
     im.shared->owner = std::make_unique<race_detector>(owner_opts);
     im.shared->owner->set_trace_muted(true);
     im.shared->rp = std::make_unique<dfs_replayer>(im.shared->owner.get());
@@ -1564,9 +1563,6 @@ void parallel_detector::begin(unsigned workers) {
     inner.detect_threads = 0;
     inner.fail_fast = false;
     inner.trace_path.clear();
-    if (im.checker_count > 1 && inner.shadow_reserve != 0) {
-      inner.shadow_reserve = inner.shadow_reserve / im.checker_count + 1;
-    }
     c->det = std::make_unique<race_detector>(inner);
     c->det->set_assume_canonical(true);
     // Replicas each replay the full structure stream; without muting, every

@@ -682,9 +682,6 @@ pipelined_detector::pipelined_detector(race_detector::options opts,
     inner.detect_threads = 0;
     inner.fail_fast = false;
     inner.trace_path.clear();  // the pipeline owns the one session
-    if (requested > 1 && inner.shadow_reserve != 0) {
-      inner.shadow_reserve = inner.shadow_reserve / requested + 1;
-    }
     w->det = std::make_unique<race_detector>(inner);
     w->det->set_assume_canonical(true);
     w->det->set_trace_muted(true);

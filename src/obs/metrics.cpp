@@ -214,6 +214,8 @@ void add_shadow_source(metrics_registry& reg,
                  static_cast<double>(s.summaries_established));
     snap.counter("shadow", "summary_materializations",
                  static_cast<double>(s.summary_materializations));
+    snap.counter("shadow", "region_records_synced",
+                 static_cast<double>(s.region_records_synced));
   });
 }
 

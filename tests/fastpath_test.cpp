@@ -361,21 +361,5 @@ TEST(RangeDifferential, RacyRangeVerdictsMatch) {
   EXPECT_EQ(racy_set(ranged), racy_set(plain));
 }
 
-// --shadow-hint plumbing: reserving must not change any result.
-TEST(FastpathCounters, ShadowReserveIsTransparent) {
-  auto program = [] {
-    shared<int> x;
-    x.write(1);
-    (void)x.read();
-  };
-  detect::race_detector::options opts;
-  opts.shadow_reserve = 1 << 14;
-  auto hinted = run_detected(opts, program);
-  auto plain = run_detected(detect::race_detector::options{}, program);
-  EXPECT_EQ(hinted.counters().shared_mem_accesses,
-            plain.counters().shared_mem_accesses);
-  EXPECT_EQ(hinted.race_detected(), plain.race_detected());
-}
-
 }  // namespace
 }  // namespace futrace

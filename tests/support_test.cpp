@@ -457,26 +457,6 @@ TEST(PtrMap, ValueWithHeapStateSurvivesGrowth) {
   }
 }
 
-TEST(PtrMap, ReserveAvoidsRehash) {
-  ptr_map<int> m(16);
-  m.reserve(10000);
-  const std::size_t bytes_before = m.table_bytes();
-  std::vector<int> storage(10000);
-  for (std::size_t i = 0; i < storage.size(); ++i) {
-    m[&storage[i]] = static_cast<int>(i);
-  }
-  EXPECT_EQ(m.table_bytes(), bytes_before)
-      << "reserve() must pre-size the table so inserts never rehash";
-  EXPECT_EQ(m.size(), storage.size());
-}
-
-TEST(PtrMap, ReserveNeverShrinks) {
-  ptr_map<int> m(4096);
-  const std::size_t bytes_before = m.table_bytes();
-  m.reserve(4);
-  EXPECT_EQ(m.table_bytes(), bytes_before);
-}
-
 TEST(PtrMap, EraseRemovesAndReports) {
   ptr_map<int> m;
   int dummy[4] = {};
