@@ -222,39 +222,52 @@ void BM_ParallelSpawnOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSpawnOverhead)->UseRealTime();
 
-// Batched SPSC publish (options::ring_batch): per-item transport cost at
-// batch sizes 1/4/16/64 against a continuously-draining consumer. Batch 1
-// is the pre-batching baseline — one release store and one cache-line
-// ping-pong per event; larger batches amortize both across the batch,
-// which is the win the parallel-detect producers bank on.
+// SPSC transport cost per item against a continuously-draining consumer:
+// arg 0 publishes every item with its own release store (one cache-line
+// ping-pong with the consumer per item); arg 1 stages items and lets the
+// ring publish them k_publish_batch at a time, flushing only before a wait
+// for space — the discipline both detector transports use.
 void BM_RingPublishBatch(benchmark::State& state) {
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  const bool staged = state.range(0) != 0;
   support::spsc_ring<std::uint64_t> ring(std::size_t{1} << 10);
   std::atomic<bool> stop{false};
   std::thread consumer([&] {
-    std::uint64_t scratch[64];
-    while (!stop.load(std::memory_order_acquire)) {
-      if (ring.consume_n(scratch, 64) == 0) std::this_thread::yield();
+    std::uint64_t sum = 0;
+    for (;;) {
+      const std::size_t n = ring.readable_refresh();
+      if (n == 0) {
+        if (stop.load(std::memory_order_acquire) &&
+            ring.readable_refresh() == 0) {
+          break;
+        }
+        std::this_thread::yield();
+        continue;
+      }
+      for (std::size_t i = 0; i < n; ++i) sum += ring.consume_slot(i);
+      ring.pop(n);
     }
-    while (ring.consume_n(scratch, 64) != 0) {
-    }
+    benchmark::DoNotOptimize(sum);
   });
-  std::uint64_t src[64] = {};
   std::uint64_t items = 0;
   for (auto _ : state) {
-    std::size_t wrote = 0;
-    while (wrote < batch) {
-      const std::size_t n = ring.publish_n(src + wrote, batch - wrote);
-      if (n == 0) ring.free_slots_refresh();
-      wrote += n;
+    if (ring.free_slots() == 0) {
+      ring.flush();
+      while (ring.free_slots_refresh() == 0) {
+      }
     }
-    items += batch;
+    ring.produce_slot(0) = items++;
+    if (staged) {
+      ring.stage(1);
+    } else {
+      ring.publish(1);
+    }
   }
+  ring.flush();
   stop.store(true, std::memory_order_release);
   consumer.join();
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
 }
-BENCHMARK(BM_RingPublishBatch)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
+BENCHMARK(BM_RingPublishBatch)->Arg(0)->Arg(1)->UseRealTime();
 
 }  // namespace
 

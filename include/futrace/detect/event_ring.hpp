@@ -23,11 +23,14 @@
 ///
 /// A finish-exit event carries its joined-task list in trailing
 /// continuation slots (finish fan-in is unbounded); the slot count derives
-/// from the joined count in the header (event_slots). The producer
-/// publishes header + continuations with one release store whenever the
-/// event fits the ring, so a consumer never observes a torn event; a
-/// finish list larger than the whole ring streams incrementally and the
-/// consumer pops slots as it collects them.
+/// from the joined count in the header (event_slots). The producer stages
+/// every event and the ring publishes staged slots in batches
+/// (spsc_ring::k_publish_batch, plus a flush before every producer wait
+/// and at end of stream). Header + continuations of an event that fits the
+/// ring are staged together, so they publish in the same release store and
+/// a consumer never observes a torn event; a finish list larger than the
+/// whole ring streams incrementally and the consumer pops slots as it
+/// collects them.
 
 #include <cstddef>
 #include <cstdint>

@@ -9,7 +9,7 @@
 ///   ----------------                      ---------------------------
 ///   run program, observe events  ──ring 0──►  worker 0: graph replica +
 ///   span_of + shard routing      ──ring 1──►  worker 1:   shadow shard
-///   (~tens of ns per event)          ...         ...
+///   (~120 ns per event)              ...         ...
 ///
 /// Architecture (DESIGN.md §10): every worker owns a complete private
 /// race_detector — its own reachability-graph replica and a shadow memory
@@ -96,8 +96,9 @@ class pipelined_detector final : public execution_observer {
  public:
   struct tuning {
     /// Slots per worker ring (rounded up to a power of two). 16Ki slots =
-    /// 1 MiB per ring: deep enough to absorb checker hiccups, small enough
-    /// to stay resident in L2/L3.
+    /// 1 MiB per ring, deep enough to absorb checker hiccups. The ring is
+    /// allocated untouched, so a run pays (in time and resident memory)
+    /// only for the slots it actually writes.
     std::size_t ring_capacity = std::size_t{1} << 14;
     /// log2 of the address-chunk size dealt round-robin to workers.
     unsigned chunk_shift = k_default_chunk_shift;

@@ -166,14 +166,6 @@ class race_detector final : public execution_observer {
     /// (it is always a single-threaded checker); pipelined_detector reads it
     /// to decide between forwarding inline and spinning up the pipeline.
     unsigned detect_threads = 0;
-    /// Producer-side ring publish batch for the parallel-detect pipeline
-    /// (parallel_pipeline.hpp): access events are staged per (producer,
-    /// shard) and published with one release store per batch instead of one
-    /// per event. Flushed at every structure event — task end included — so
-    /// an event is never published after a structure event that follows it
-    /// in program order. 0 or 1 disables staging. race_detector itself
-    /// ignores the field.
-    std::size_t ring_batch = 16;
     /// When non-empty, the detector owns an obs::trace_session for its
     /// lifetime and the Chrome trace-event JSON is written here at
     /// destruction (the --trace=FILE flag on benches and examples). Empty —

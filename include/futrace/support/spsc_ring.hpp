@@ -1,21 +1,31 @@
 #pragma once
 
 /// \file spsc_ring.hpp
-/// Bounded single-producer single-consumer ring buffer. The pipelined race
-/// detector streams fixed-size event slots from the execution thread to each
-/// checker worker through one of these; the design goals are the classic
-/// ones for that shape:
+/// Bounded single-producer single-consumer ring buffer. The pipelined and
+/// parallel-detect race detectors stream fixed-size event slots from each
+/// producer to each checker through one of these; the design goals are the
+/// classic ones for that shape:
 ///
-///   - Bounded and allocation-free after construction: a full ring means
-///     backpressure (the producer spins), never growth, so the detection
-///     pipeline cannot allocate on the instrumented program's hot path.
-///   - Batched publish/consume: the producer writes any number of slots and
-///     publishes them with one release store; the consumer observes a whole
-///     batch with one acquire load and retires it with one release store.
+///   - Bounded, allocation-free after construction, and untouched at
+///     construction: the slot array is allocated but never initialised.
+///     Slots are trivially copyable and only published slots are ever
+///     read, so construction cost and resident memory do not scale with
+///     capacity — a page becomes resident when the producer first writes
+///     a slot on it. A full ring means backpressure (the producer spins),
+///     never growth.
+///   - Staged publish: the producer writes slots in place past the tail and
+///     stages them; one release store publishes the whole staged run when
+///     it reaches k_publish_batch slots or when the producer calls flush().
+///     A producer must flush before it waits for space (the consumer can
+///     only free slots it can see) and when its stream ends. Slots staged
+///     together become visible together, so a multi-slot record staged in
+///     one call is never seen torn. The consumer observes a whole batch
+///     with one acquire load and retires it with one release store.
 ///   - No sharing beyond the two indices. Head and tail live on their own
 ///     cache lines, and each side keeps a cached copy of the opposite index
 ///     so the common case (space available / data available) re-reads its
-///     own cache line only.
+///     own cache line only. The staged count sits on the producer's line,
+///     next to its cached head.
 ///
 /// Indices are free-running 64-bit counters masked on access, so fullness is
 /// `tail - head == capacity` with no reserved slot and no wraparound
@@ -24,7 +34,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 #include "futrace/support/assert.hpp"
 
@@ -32,13 +44,22 @@ namespace futrace::support {
 
 template <typename T>
 class spsc_ring {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "slots are never constructed: the consumer reads only slots "
+                "the producer has written");
+
  public:
-  /// Capacity is rounded up to a power of two (minimum 2) and allocated
-  /// eagerly — the only allocation this class ever performs.
+  /// Staged slots publish on their own once this many accumulate.
+  static constexpr std::size_t k_publish_batch = 32;
+
+  /// Capacity is rounded up to a power of two (minimum 2). The slot array
+  /// is the only allocation this class ever performs, and it is left
+  /// uninitialised.
   explicit spsc_ring(std::size_t capacity) {
     std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
+    slots_.reset(static_cast<T*>(
+        ::operator new(cap * sizeof(T), std::align_val_t{alignof(T)})));
     mask_ = cap - 1;
   }
 
@@ -49,57 +70,61 @@ class spsc_ring {
 
   // -- Producer side ---------------------------------------------------------
 
-  /// Slots the producer may write right now. Refreshes the cached consumer
-  /// index only when the cached view looks full, so a streaming producer
-  /// pays one relaxed load of its own tail per call.
+  /// Slots the producer may write right now; staged slots count as used.
+  /// Refreshes the cached consumer index only when the cached view looks
+  /// full, so a streaming producer pays no load of the consumer's line.
   std::size_t free_slots() noexcept {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_cache_ >= capacity()) {
+    const std::uint64_t end = tail_.load(std::memory_order_relaxed) + staged_;
+    if (end - head_cache_ >= capacity()) {
       head_cache_ = head_.load(std::memory_order_acquire);
     }
-    return capacity() - static_cast<std::size_t>(tail - head_cache_);
+    return capacity() - static_cast<std::size_t>(end - head_cache_);
   }
 
   /// Like free_slots(), but always refreshes the cached consumer index —
-  /// for a producer spinning until a multi-slot event fits. The lazy rule
+  /// for a producer spinning until a multi-slot record fits. The lazy rule
   /// above only triggers on a completely-full view, so a stale view showing
   /// 0 < free < need would never refresh and the wait would never observe
   /// the consumer's progress (a livelock, not just staleness).
   std::size_t free_slots_refresh() noexcept {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t end = tail_.load(std::memory_order_relaxed) + staged_;
     head_cache_ = head_.load(std::memory_order_acquire);
-    return capacity() - static_cast<std::size_t>(tail - head_cache_);
+    return capacity() - static_cast<std::size_t>(end - head_cache_);
   }
 
-  /// The i-th unpublished slot past the current tail. Valid for
-  /// i < free_slots(); contents become visible to the consumer only after
-  /// publish().
+  /// The i-th writable slot past the staged run. Valid for
+  /// i < free_slots(); its contents reach the consumer only once staged
+  /// and published.
   T& produce_slot(std::size_t i) noexcept {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    return slots_[static_cast<std::size_t>(tail + i) & mask_];
+    const std::uint64_t end = tail_.load(std::memory_order_relaxed) + staged_;
+    return slots_.get()[static_cast<std::size_t>(end + i) & mask_];
   }
 
-  /// Publishes the first `n` written slots (release: the consumer's
-  /// matching acquire sees their contents fully written).
+  /// Appends the first `n` written slots to the staged run. They stay
+  /// invisible to the consumer until the run reaches k_publish_batch slots
+  /// (this call then publishes it) or until flush().
+  void stage(std::size_t n) noexcept {
+    FUTRACE_DCHECK(tail_.load(std::memory_order_relaxed) + staged_ + n -
+                       head_cache_ <=
+                   capacity());
+    staged_ += n;
+    if (staged_ >= k_publish_batch) flush();
+  }
+
+  /// Publishes the staged run with one release store (the consumer's
+  /// matching acquire sees every staged slot fully written).
+  void flush() noexcept {
+    if (staged_ == 0) return;
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    tail_.store(tail + staged_, std::memory_order_release);
+    staged_ = 0;
+  }
+
+  /// Stages the first `n` written slots and flushes: they, and everything
+  /// staged before them, become visible now.
   void publish(std::size_t n) noexcept {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    FUTRACE_DCHECK(tail - head_cache_ + n <= capacity());
-    tail_.store(tail + n, std::memory_order_release);
-  }
-
-  /// Copies up to `n` items from `src` into the ring and publishes them with
-  /// ONE release store. Returns the number actually written (bounded by the
-  /// space the producer can see right now — callers wanting all `n` spin on
-  /// free_slots_refresh() between attempts). This is the batched-publish
-  /// fast path: the per-event release store and its cache-line ping-pong are
-  /// amortized over the whole batch.
-  std::size_t publish_n(const T* src, std::size_t n) noexcept {
-    std::size_t room = free_slots();
-    if (room < n) room = free_slots_refresh();
-    const std::size_t count = n < room ? n : room;
-    for (std::size_t i = 0; i < count; ++i) produce_slot(i) = src[i];
-    if (count != 0) publish(count);
-    return count;
+    stage(n);
+    flush();
   }
 
   // -- Consumer side ---------------------------------------------------------
@@ -127,7 +152,7 @@ class spsc_ring {
   /// The i-th readable slot. Valid for i < readable().
   const T& consume_slot(std::size_t i) const noexcept {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    return slots_[static_cast<std::size_t>(head + i) & mask_];
+    return slots_.get()[static_cast<std::size_t>(head + i) & mask_];
   }
 
   /// Retires the first `n` readable slots (release: the producer's matching
@@ -138,19 +163,7 @@ class spsc_ring {
     head_.store(head + n, std::memory_order_release);
   }
 
-  /// Copies up to `max` readable items into `dst` and retires them with ONE
-  /// release store. Returns the number copied (0 when the ring looks empty).
-  /// Mirror of publish_n() for a consumer draining into a local scratch
-  /// buffer before processing.
-  std::size_t consume_n(T* dst, std::size_t max) noexcept {
-    const std::size_t avail = readable();
-    const std::size_t count = max < avail ? max : avail;
-    for (std::size_t i = 0; i < count; ++i) dst[i] = consume_slot(i);
-    if (count != 0) pop(count);
-    return count;
-  }
-
-  /// Producer-side fill level (diagnostic; the occupancy column of the
+  /// Published fill level (diagnostic; the occupancy column of the
   /// pipelined bench). Exact for the producer, a snapshot for anyone else.
   std::size_t size_approx() const noexcept {
     return static_cast<std::size_t>(tail_.load(std::memory_order_relaxed) -
@@ -158,12 +171,19 @@ class spsc_ring {
   }
 
  private:
-  std::vector<T> slots_;
+  struct slot_free {
+    void operator()(T* p) const noexcept {
+      ::operator delete(p, std::align_val_t{alignof(T)});
+    }
+  };
+
+  std::unique_ptr<T, slot_free> slots_;
   std::size_t mask_ = 0;
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer-owned
   alignas(64) std::uint64_t tail_cache_ = 0;        // consumer's view of tail
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer-owned
   alignas(64) std::uint64_t head_cache_ = 0;        // producer's view of head
+  std::size_t staged_ = 0;  // written past tail, not yet published
 };
 
 }  // namespace futrace::support

@@ -388,11 +388,6 @@ struct parallel_detector::impl {
     /// Events bound for a dead checker, buffered per checker (still
     /// single-producer) and drained at finalize after the ring contents.
     std::vector<std::vector<pipe_event>> spill;
-    /// Batched-publish staging, one vector per checker: at most `batch`
-    /// access events accumulate before one publish_n, and every staged
-    /// event is flushed before any structure emission (per-ring FIFO in
-    /// replicated mode; published-before-terminator in shared mode).
-    std::vector<std::vector<pipe_event>> stage;
     /// Shared-structure mode: per-pid count of this producer's structure
     /// events so far — the ordinal tag carried by access events (a pid's
     /// body runs on one OS thread, so its counts live in one map). The
@@ -494,10 +489,6 @@ struct parallel_detector::impl {
   bool buffer_mode = false;
   std::atomic<bool> done{false};
 
-  /// Effective access batch per (producer, checker) stage: max(1,
-  /// opts.ring_batch). 1 keeps the event-at-a-time publish of PR 8.
-  std::size_t batch = 1;
-
   std::vector<std::unique_ptr<producer_state>> pstates;
   std::vector<std::unique_ptr<checker>> checkers;
   /// Non-null iff tuning::structure == structure_mode::shared.
@@ -529,19 +520,31 @@ struct parallel_detector::impl {
                       : static_cast<std::size_t>(chunk % checker_count);
   }
 
-  /// Pushes one event into checker `c`'s ring for producer `p`, spinning on
-  /// backpressure, spilling if the checker is (or goes) dead. Every event
-  /// on the parallel wire is single-slot, so a kill can never strand a
-  /// partial event.
-  void push(unsigned p, checker& c, const pipe_event& ev) {
+  /// True when nobody will ever drain checker `c`'s access rings again:
+  /// the checker is dead and — under shared mode — the structure writer,
+  /// which services dead shards' rings, is dead too. Both flags are
+  /// sticky, so once a producer starts spilling it never goes back to the
+  /// ring and the ring-then-spill FIFO order survives.
+  bool consumer_gone(const checker& c) const {
+    if (!c.dead.load(std::memory_order_acquire)) return false;
+    return shared == nullptr || shared->dead.load(std::memory_order_acquire);
+  }
+
+  /// Makes room for one slot in producer `p`'s ring to checker `c`,
+  /// spinning on backpressure. False once nobody will ever drain that ring
+  /// again: its staged slots are published first, so the caller's spill
+  /// follows them in stream order (ring-then-spill). Every event on the
+  /// parallel wire is single-slot, so a kill can never strand a partial
+  /// event.
+  bool reserve_slot(unsigned p, checker& c) {
     producer_state& ps = *pstates[p];
     ++ps.pushes;
-    if (c.dead.load(std::memory_order_acquire)) [[unlikely]] {
-      ps.spill[c.index].push_back(ev);
-      ++ps.spilled;
-      return;
-    }
+    if (c.rings.empty()) return false;  // buffer mode
     event_ring& ring = *c.rings[p];
+    if (consumer_gone(c)) [[unlikely]] {
+      ring.flush();
+      return false;
+    }
     if ((ps.pushes & 63) == 0) {
       ps.occupancy_sum += ring.size_approx();
       ++ps.occupancy_samples;
@@ -553,32 +556,41 @@ struct parallel_detector::impl {
         spin_pause();
       }
     }
-    if (ring.free_slots() < 1) [[unlikely]] {
-      obs::trace_emit(obs::trace_kind::ring_stall, obs::trace_track::checker,
-                      c.index, 1);
-      spin_backoff backoff;
-      while (ring.free_slots_refresh() < 1) {
-        ++ps.backpressure_waits;
-        backoff.wait();
-        if (c.dead.load(std::memory_order_acquire)) {
-          ps.spill[c.index].push_back(ev);
-          ++ps.spilled;
-          return;
-        }
-      }
+    if (ring.free_slots() >= 1) [[likely]] return true;
+    ring.flush();  // the checker can only free slots it can see
+    obs::trace_emit(obs::trace_kind::ring_stall, obs::trace_track::checker,
+                    c.index, 1);
+    spin_backoff backoff;
+    while (ring.free_slots_refresh() < 1) {
+      ++ps.backpressure_waits;
+      backoff.wait();
+      if (consumer_gone(c)) return false;
     }
-    ring.produce_slot(0) = ev;
-    ring.publish(1);
+    return true;
   }
 
-  /// True when nobody will ever drain checker `c`'s access rings again:
-  /// the checker is dead and — under shared mode — the structure writer,
-  /// which services dead shards' rings, is dead too. Both flags are
-  /// sticky, so once a producer starts spilling it never goes back to the
-  /// ring and the ring-then-spill FIFO order survives.
-  bool consumer_gone(const checker& c) const {
-    if (!c.dead.load(std::memory_order_acquire)) return false;
-    return shared == nullptr || shared->dead.load(std::memory_order_acquire);
+  /// Stages one event in producer `p`'s ring to shard `w`, or spills it
+  /// once nobody will drain that ring again. The ring publishes staged
+  /// slots in batches; flush_access_rings() publishes the rest.
+  void stage_event(unsigned p, std::size_t w, const pipe_event& ev) {
+    checker& c = *checkers[w];
+    if (!reserve_slot(p, c)) [[unlikely]] {
+      producer_state& ps = *pstates[p];
+      ps.spill[w].push_back(ev);
+      ++ps.spilled;
+      return;
+    }
+    event_ring& ring = *c.rings[p];
+    ring.produce_slot(0) = ev;
+    ring.stage(1);
+  }
+
+  void flush_ring(unsigned p, std::size_t w) {
+    if (!checkers[w]->rings.empty()) checkers[w]->rings[p]->flush();
+  }
+
+  void flush_access_rings(unsigned p) {
+    for (std::size_t w = 0; w < checkers.size(); ++w) flush_ring(p, w);
   }
 
   /// Per-pid structure ordinal slot, with a one-entry cache for the access
@@ -619,71 +631,6 @@ struct parallel_detector::impl {
     }
     ring.produce_slot(0) = ev;
     ring.publish(1);
-  }
-
-  /// Stages one access event for (producer, shard); the batch publishes
-  /// with one release store when it fills (options::ring_batch) and at the
-  /// next structure emission.
-  void stage_access(unsigned p, std::size_t w, const pipe_event& ev) {
-    std::vector<pipe_event>& st = pstates[p]->stage[w];
-    st.push_back(ev);
-    if (st.size() >= batch) flush_stage(p, *checkers[w], st);
-  }
-
-  void flush_stages(unsigned p) {
-    producer_state& ps = *pstates[p];
-    for (std::size_t w = 0; w < ps.stage.size(); ++w) {
-      if (!ps.stage[w].empty()) flush_stage(p, *checkers[w], ps.stage[w]);
-    }
-  }
-
-  /// Publishes a staged batch with as few release stores as ring space
-  /// allows, spinning on backpressure and spilling the remainder once the
-  /// consumer side is gone for good.
-  void flush_stage(unsigned p, checker& c, std::vector<pipe_event>& st) {
-    producer_state& ps = *pstates[p];
-    const std::uint64_t before = ps.pushes;
-    ps.pushes += st.size();
-    std::size_t off = 0;
-    if (!c.rings.empty() && !consumer_gone(c)) {
-      event_ring& ring = *c.rings[p];
-      // Fill-level sampling about once per 64 pushes (the Pipe% column),
-      // batched flushes included.
-      if ((before >> 6) != (ps.pushes >> 6)) {
-        ps.occupancy_sum += ring.size_approx();
-        ++ps.occupancy_samples;
-      }
-      if (const std::uint32_t forced = inject::pipe_ring_full_site())
-          [[unlikely]] {
-        for (std::uint32_t i = 0; i < forced; ++i) {
-          ++ps.backpressure_waits;
-          spin_pause();
-        }
-      }
-      spin_backoff backoff;
-      bool stalled = false;
-      while (off < st.size()) {
-        const std::size_t n = ring.publish_n(st.data() + off, st.size() - off);
-        if (n != 0) {
-          off += n;
-          backoff.reset();
-          continue;
-        }
-        if (consumer_gone(c)) break;
-        if (!stalled) {
-          stalled = true;
-          obs::trace_emit(obs::trace_kind::ring_stall,
-                          obs::trace_track::checker, c.index, 1);
-        }
-        ++ps.backpressure_waits;
-        backoff.wait();
-      }
-    }
-    for (; off < st.size(); ++off) {
-      ps.spill[c.index].push_back(st[off]);
-      ++ps.spilled;
-    }
-    st.clear();
   }
 
   /// Producer-side execution lanes: in parallel-detect mode the producers
@@ -731,21 +678,29 @@ struct parallel_detector::impl {
     if (op == pipe_op::program_start) root_pid = pid;
     if (obs::trace_enabled()) [[unlikely]] trace_lane(op, pid, a, b);
     // Staged accesses precede this event in the pid's program order and
-    // must reach the wire first: per-ring FIFO is the replicated demux
-    // invariant, published-before-terminator the shared-mode one.
-    flush_stages(p);
+    // must reach the wire no later than it does. Replicated: the broadcast
+    // lands behind them in every access ring (per-ring FIFO is the demux
+    // invariant) and each ring publishes at once, structure event
+    // included. Shared: the event goes to the writer's ring, so flush the
+    // access rings first — the writer relies on every run-n access being
+    // published before it holds run n's terminator, and checkers cannot
+    // complete run n until then.
     pipe_event ev;
     ev.op = op;
     ev.task = pid;
     ev.a = a;
     ev.b = b;
     if (shared) {
+      flush_access_rings(p);
       ev.seq = struct_seq_of(ps, pid)++;
       ++ps.events;
       push_structure(p, ev);
     } else {
       ev.seq = ps.events++;  // producer-stream ordinal (diagnostics only)
-      for (auto& cp : checkers) push(p, *cp, ev);
+      for (std::size_t w = 0; w < checkers.size(); ++w) {
+        stage_event(p, w, ev);
+        flush_ring(p, w);
+      }
     }
   }
 
@@ -777,7 +732,7 @@ struct parallel_detector::impl {
       ev.line = site.line;
       ev.seq = seq_no;
       ev.sub = sub;
-      stage_access(p, owner_of(a), ev);
+      stage_event(p, owner_of(a), ev);
       ++sub;
       a += k * stride;
       remaining -= k;
@@ -814,7 +769,7 @@ struct parallel_detector::impl {
       ev.file = site.file;
       ev.line = site.line;
       ev.seq = seq_no;
-      stage_access(p, owner_of(ev.a), ev);
+      stage_event(p, owner_of(ev.a), ev);
       return;
     }
     emit_range_split(p, is_write, pid, span.first, span.count, span.stride,
@@ -839,7 +794,7 @@ struct parallel_detector::impl {
     ev.b = bytes;
     ev.seq = seq_no;
     for (std::size_t w = 0; w < checkers.size(); ++w) {
-      stage_access(p, w, ev);
+      stage_event(p, w, ev);
     }
   }
 
@@ -1217,7 +1172,7 @@ struct parallel_detector::impl {
     // The engine joins its workers before program_done (parallel_sink
     // contract), so the main thread may act for every producer now:
     // publish whatever is still staged, then close the stream.
-    for (unsigned p = 0; p < producers; ++p) flush_stages(p);
+    for (unsigned p = 0; p < producers; ++p) flush_access_rings(p);
     done.store(true, std::memory_order_release);
     if (shared) {
       finalize_shared();
@@ -1516,7 +1471,6 @@ void parallel_detector::begin(unsigned workers) {
   im.shard_mask = im.checker_count - 1;
 
   const bool shared_mode = im.tune.structure == structure_mode::shared;
-  im.batch = im.opts.ring_batch == 0 ? 1 : im.opts.ring_batch;
 
   std::size_t cap = 2;
   while (cap < im.tune.ring_capacity) cap <<= 1;
@@ -1539,8 +1493,6 @@ void parallel_detector::begin(unsigned workers) {
     auto ps = std::make_unique<impl::producer_state>();
     ps->span_shadow.set_direct_mapped(false);
     ps->spill.resize(im.checker_count);
-    ps->stage.resize(im.checker_count);
-    for (auto& st : ps->stage) st.reserve(im.batch);
     im.pstates.push_back(std::move(ps));
   }
 

@@ -289,6 +289,8 @@ struct pipelined_detector::impl {
     }
     if (w.dead.load(std::memory_order_acquire)) return false;
     if (w.ring->free_slots() >= need) [[likely]] return true;
+    // The worker can only free slots it can see.
+    w.ring->flush();
     // One instant per backpressure episode (not per spin) on the stalled
     // worker's checker track.
     obs::trace_emit(obs::trace_kind::ring_stall, obs::trace_track::checker,
@@ -306,9 +308,20 @@ struct pipelined_detector::impl {
     return true;
   }
 
-  /// Streams one event into `w`'s ring, backpressuring on a full ring.
-  /// Published atomically (header + continuations in one release store)
-  /// whenever the event fits the ring; an oversize finish list streams
+  /// The k-th continuation slot (k >= 1) of a finish event's joined list.
+  static pipe_event continuation(std::span<const task_id> joined,
+                                 std::size_t k) {
+    pipe_cont_view v;
+    const std::size_t off = (k - 1) * pipe_cont_view::k_ids;
+    v.used = static_cast<std::uint32_t>(
+        std::min(pipe_cont_view::k_ids, joined.size() - off));
+    for (std::uint32_t i = 0; i < v.used; ++i) v.ids[i] = joined[off + i];
+    return std::bit_cast<pipe_event>(v);
+  }
+
+  /// Stages one event into `w`'s ring, backpressuring on a full ring. An
+  /// event that fits the ring stages header + continuations together, so
+  /// they publish in one release store; an oversize finish list streams
   /// incrementally. False means the worker died mid-stream: any partial
   /// tail it left is discarded by the takeover drain and the caller
   /// re-applies the event inline.
@@ -320,28 +333,19 @@ struct pipelined_detector::impl {
       if (!wait_slots(w, need)) return false;
       ring.produce_slot(0) = ev;
       for (std::size_t k = 1; k < need; ++k) {
-        pipe_cont_view v;
-        const std::size_t off = (k - 1) * pipe_cont_view::k_ids;
-        v.used = static_cast<std::uint32_t>(
-            std::min(pipe_cont_view::k_ids, joined.size() - off));
-        for (std::uint32_t i = 0; i < v.used; ++i) v.ids[i] = joined[off + i];
-        ring.produce_slot(k) = std::bit_cast<pipe_event>(v);
+        ring.produce_slot(k) = continuation(joined, k);
       }
-      ring.publish(need);
+      ring.stage(need);
       return true;
     }
-    if (!wait_slots(w, 1)) return false;
-    ring.produce_slot(0) = ev;
-    ring.publish(1);
-    for (std::size_t k = 1; k < need; ++k) {
-      pipe_cont_view v;
-      const std::size_t off = (k - 1) * pipe_cont_view::k_ids;
-      v.used = static_cast<std::uint32_t>(
-          std::min(pipe_cont_view::k_ids, joined.size() - off));
-      for (std::uint32_t i = 0; i < v.used; ++i) v.ids[i] = joined[off + i];
+    // An oversize event can never be visible whole: the worker collects it
+    // while the continuations are still being written. Publish what
+    // precedes it, so the worker drains up to the header meanwhile.
+    ring.flush();
+    for (std::size_t k = 0; k < need; ++k) {
       if (!wait_slots(w, 1)) return false;
-      ring.produce_slot(0) = std::bit_cast<pipe_event>(v);
-      ring.publish(1);
+      ring.produce_slot(0) = k == 0 ? ev : continuation(joined, k);
+      ring.stage(1);
     }
     return true;
   }
@@ -356,6 +360,7 @@ struct pipelined_detector::impl {
                     w.index);
     if (w.thread.joinable()) w.thread.join();
     event_ring& ring = *w.ring;
+    ring.flush();
     const std::size_t n = ring.readable_refresh();
     std::size_t consumed = 0;
     std::uint64_t drained = 0;
@@ -520,6 +525,11 @@ struct pipelined_detector::impl {
     if (!use_pipeline) return;
     // The root's timeline slice was already closed by the runtime's
     // on_task_end(root), which the producer mirrors like any other task end.
+    // Workers exit on `done` once their ring reads empty, so every staged
+    // slot must be visible first.
+    for (auto& wp : workers) {
+      if (!wp->inline_mode) wp->ring->flush();
+    }
     done.store(true, std::memory_order_release);
     for (auto& wp : workers) {
       worker& w = *wp;

@@ -11,7 +11,7 @@
 /// keep that sound:
 ///  - t_hook_depth (ours): any allocator event that arrives while a hook
 ///    is already running on this thread is internal bookkeeping traffic
-///    (a table rehash, a queue growth, a sink staging buffer) and is
+///    (a table rehash, a queue growth, a sink spill buffer) and is
 ///    dropped before it can touch a lock the outer hook already holds.
 ///  - detail::in_reentry() (the engines'): set across every engine/
 ///    detector code path that may allocate, so machinery traffic is never

@@ -217,9 +217,9 @@ class parallel_engine final : public engine {
 
   // Reached only with ctx().instrument set, i.e. when a sink is attached
   // (the null checks keep direct engine calls harmless in plain mode). The
-  // reentry guards keep the heap hooks out of the sink's staging machinery:
-  // a stage-vector reallocation freeing its old buffer must not re-enter
-  // emission mid-flush.
+  // reentry guards keep the heap hooks out of the sink's emission
+  // machinery: a spill-buffer reallocation freeing its old buffer must not
+  // re-enter emission mid-push.
   void note_read(const void* addr, std::size_t size,
                  access_site site) override {
     if (sink_ == nullptr) return;

@@ -155,6 +155,21 @@ progen::trace_config racy_config(std::uint64_t seed) {
   return cfg;
 }
 
+/// Long bodies dominated by accesses: runs of accesses between structure
+/// events outgrow the publish batch, so producers fill batches and mostly
+/// hold a partly filled one; the run also outlasts a checker kill.
+progen::trace_config access_heavy_config(std::uint64_t seed) {
+  progen::trace_config cfg = racy_config(seed);
+  cfg.min_stmts = 32;
+  cfg.max_stmts = 96;
+  cfg.max_tasks = 200;
+  cfg.w_read = 16.0;
+  cfg.w_write = 12.0;
+  cfg.w_range_read = 4.0;
+  cfg.w_range_write = 3.0;
+  return cfg;
+}
+
 progen::trace_config safe_config(std::uint64_t seed) {
   progen::trace_config cfg;
   cfg.seed = seed;
@@ -227,22 +242,28 @@ TEST(ParDetectDiff, StealPerturbationInvariant) {
 }
 
 /// A checker killed mid-stream flips its shard to spill mode; finalize
-/// drains ring-then-spill and replays inline. No event may be lost.
+/// drains ring-then-spill and replays inline. No event may be lost. The
+/// access-heavy program makes producers hold staged accesses for the dead
+/// shard when the kill lands: they must be published ahead of the spill.
 TEST(ParDetectDiff, CheckerKillDegradesToInlineTakeover) {
-  progen::program_trace prog(racy_config(53));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
-  for (const std::uint64_t kill_at : {1u, 40u, 400u}) {
-    inject::fault_plan plan;
-    plan.pipe_kill_at = kill_at;
-    inject::fault_injector inj(plan);
-    inject::scoped_injector guard(inj);
-    parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 4);
-    const std::string label = "kill_at=" + std::to_string(kill_at);
-    expect_matches(det, ref, prog, label);
-    if (inj.snapshot().pipe_kills > 0) {
-      EXPECT_GT(det.pipe_stats().workers_died, 0u) << label;
-      EXPECT_GT(det.par_stats().takeover_events, 0u) << label;
-      EXPECT_GT(det.pipe_stats().inline_fallbacks, 0u) << label;
+  for (const progen::trace_config& cfg :
+       {racy_config(53), access_heavy_config(53)}) {
+    progen::program_trace prog(cfg);
+    const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+    for (const std::uint64_t kill_at : {1u, 40u, 400u, 2000u}) {
+      inject::fault_plan plan;
+      plan.pipe_kill_at = kill_at;
+      inject::fault_injector inj(plan);
+      inject::scoped_injector guard(inj);
+      parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 4);
+      const std::string label = "stmts<=" + std::to_string(cfg.max_stmts) +
+                                " kill_at=" + std::to_string(kill_at);
+      expect_matches(det, ref, prog, label);
+      if (inj.snapshot().pipe_kills > 0) {
+        EXPECT_GT(det.pipe_stats().workers_died, 0u) << label;
+        EXPECT_GT(det.par_stats().takeover_events, 0u) << label;
+        EXPECT_GT(det.pipe_stats().inline_fallbacks, 0u) << label;
+      }
     }
   }
 }

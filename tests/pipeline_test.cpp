@@ -339,10 +339,12 @@ TEST(Pipeline, RefusedRingAllocationFallsBackInline) {
 template <typename Body>
 pipelined_detector run_with_plan(const inject::fault_plan& plan,
                                  unsigned threads, Body&& body,
-                                 inject::fault_injector::counters* out) {
+                                 inject::fault_injector::counters* out,
+                                 pipelined_detector::tuning tune = {}) {
   inject::fault_injector inj(plan);
   inject::scoped_injector guard(inj);
-  pipelined_detector det = run_pipelined(opts_with_threads(threads), body);
+  pipelined_detector det =
+      run_pipelined(opts_with_threads(threads), body, tune);
   if (out != nullptr) *out = inj.snapshot();
   return det;
 }
@@ -412,27 +414,49 @@ TEST(PipelineFaults, KilledWorkerCountersMergeExactly) {
   };
   const pipelined_detector clean = run_pipelined(opts_with_threads(4), body);
   ASSERT_EQ(clean.pipe_stats().workers_died, 0u);
+  // Events the workers consume in total (the kill ordinal's range): every
+  // access sub-event once, every broadcast event once per worker. A kill
+  // on the last of them fires after the producer's last push, so the
+  // producer first notices the death in finalize — after publishing its
+  // staged tail, which the takeover drain must then apply exactly once.
+  const detect::pipeline_stats& cs = clean.pipe_stats();
+  const std::uint64_t last = cs.access_events + cs.split_subevents +
+                             4 * (cs.events - cs.access_events);
 
-  for (const std::uint64_t kill_at : {1u, 75u, 400u}) {
-    inject::fault_plan plan;
-    plan.pipe_kill_at = kill_at;
-    inject::fault_injector::counters fired;
-    const pipelined_detector killed = run_with_plan(plan, 4, body, &fired);
-    ASSERT_EQ(fired.pipe_kills, 1u) << "kill@" << kill_at;
-    EXPECT_EQ(killed.pipe_stats().workers_died, 1u) << "kill@" << kill_at;
+  // An 8-slot ring is smaller than the publish batch: every publish is a
+  // flush before a wait for space or at end of stream.
+  pipelined_detector::tuning small_ring;
+  small_ring.ring_capacity = 8;
+  for (const pipelined_detector::tuning& tune :
+       {pipelined_detector::tuning{}, small_ring}) {
+    for (const std::uint64_t kill_at : {std::uint64_t{1}, std::uint64_t{75},
+                                        std::uint64_t{400}, last}) {
+      inject::fault_plan plan;
+      plan.pipe_kill_at = kill_at;
+      inject::fault_injector::counters fired;
+      const pipelined_detector killed =
+          run_with_plan(plan, 4, body, &fired, tune);
+      const std::string label = "kill@" + std::to_string(kill_at) +
+                                " ring=" + std::to_string(tune.ring_capacity);
+      ASSERT_EQ(fired.pipe_kills, 1u) << label;
+      EXPECT_EQ(killed.pipe_stats().workers_died, 1u) << label;
+      if (kill_at == last) {
+        // Only the killed event itself was left to take over.
+        EXPECT_EQ(killed.pipe_stats().inline_fallbacks, 1u) << label;
+      }
 
-    const detect::detector_counters a = killed.counters();
-    const detect::detector_counters b = clean.counters();
-    const std::string label = "kill@" + std::to_string(kill_at);
-    expect_paper_counters_equal(a, b, label.c_str());
-    EXPECT_EQ(a.direct_hits, b.direct_hits) << label;
-    EXPECT_EQ(a.hashed_hits, b.hashed_hits) << label;
-    EXPECT_EQ(a.memo_hits, b.memo_hits) << label;
-    EXPECT_EQ(a.stamp_hits, b.stamp_hits) << label;
-    EXPECT_EQ(a.precede_queries, b.precede_queries) << label;
-    EXPECT_EQ(a.range_events, b.range_events) << label;
-    EXPECT_EQ(a.range_hits, b.range_hits) << label;
-    EXPECT_EQ(a.summary_hits, b.summary_hits) << label;
+      const detect::detector_counters a = killed.counters();
+      const detect::detector_counters b = clean.counters();
+      expect_paper_counters_equal(a, b, label.c_str());
+      EXPECT_EQ(a.direct_hits, b.direct_hits) << label;
+      EXPECT_EQ(a.hashed_hits, b.hashed_hits) << label;
+      EXPECT_EQ(a.memo_hits, b.memo_hits) << label;
+      EXPECT_EQ(a.stamp_hits, b.stamp_hits) << label;
+      EXPECT_EQ(a.precede_queries, b.precede_queries) << label;
+      EXPECT_EQ(a.range_events, b.range_events) << label;
+      EXPECT_EQ(a.range_hits, b.range_hits) << label;
+      EXPECT_EQ(a.summary_hits, b.summary_hits) << label;
+    }
   }
 }
 
@@ -471,34 +495,44 @@ TEST(PipelineFaults, KillDuringOversizeFinishStreamIsSafe) {
   // Oversize finish (wider than the whole ring) with a kill armed nearby:
   // the consume path skips fault hooks mid-stream, so the kill lands on a
   // neighbouring event boundary and the drain still sees whole events.
-  shared_array<int> data(64);
-  auto body = [&] {
-    finish([&] {
-      for (int t = 0; t < 80; ++t) {
-        async([&, t] { data.write(static_cast<std::size_t>(t) % 64, t); });
-      }
-    });
-    for (std::size_t i = 0; i < data.size(); ++i) (void)data.read(i);
+  // Two shapes: 80 children through a 4-slot ring, and 1,000 children
+  // (a 68-slot finish) through a 64-slot ring — twice the publish batch,
+  // so the finish arrives behind a partly filled staged run, which the
+  // producer publishes before it streams the finish.
+  struct shape {
+    int children;
+    std::size_t ring;
+    std::vector<std::uint64_t> kills;
   };
-  const pipelined_detector ref = run_pipelined(opts_with_threads(0), body);
-  for (const std::uint64_t kill_at : {1u, 40u, 90u, 200u}) {
-    inject::fault_plan plan;
-    plan.pipe_kill_at = kill_at;
-    inject::fault_injector::counters fired;
-    pipelined_detector::tuning tune;
-    tune.ring_capacity = 4;  // forces the oversize streaming path
-    inject::fault_injector inj(plan);
-    inject::scoped_injector guard(inj);
-    pipelined_detector det(opts_with_threads(4), tune);
-    runtime rt({.mode = exec_mode::serial_dfs});
-    rt.add_observer(&det);
-    rt.run(body);
-    fired = inj.snapshot();
-    EXPECT_EQ(det.race_count(), ref.race_count()) << "kill@" << kill_at;
-    EXPECT_EQ(det.racy_locations(), ref.racy_locations())
-        << "kill@" << kill_at;
-    if (fired.pipe_kills > 0) {
-      EXPECT_EQ(det.pipe_stats().workers_died, 1u) << "kill@" << kill_at;
+  shared_array<int> data(64);
+  for (const shape& sh : {shape{80, 4, {1, 40, 90, 200}},
+                          shape{1000, 64, {1, 4000, 8500, 9000}}}) {
+    auto body = [&] {
+      finish([&] {
+        for (int t = 0; t < sh.children; ++t) {
+          async([&, t] { data.write(static_cast<std::size_t>(t) % 64, t); });
+        }
+      });
+      for (std::size_t i = 0; i < data.size(); ++i) (void)data.read(i);
+    };
+    const pipelined_detector ref = run_pipelined(opts_with_threads(0), body);
+    for (const std::uint64_t kill_at : sh.kills) {
+      inject::fault_plan plan;
+      plan.pipe_kill_at = kill_at;
+      inject::fault_injector::counters fired;
+      pipelined_detector::tuning tune;
+      tune.ring_capacity = sh.ring;  // forces the oversize streaming path
+      const pipelined_detector det =
+          run_with_plan(plan, 4, body, &fired, tune);
+      const std::string label = "children=" + std::to_string(sh.children) +
+                                " kill@" + std::to_string(kill_at);
+      EXPECT_EQ(det.race_count(), ref.race_count()) << label;
+      EXPECT_EQ(det.racy_locations(), ref.racy_locations()) << label;
+      expect_paper_counters_equal(det.counters(), ref.counters(),
+                                  label.c_str());
+      if (fired.pipe_kills > 0) {
+        EXPECT_EQ(det.pipe_stats().workers_died, 1u) << label;
+      }
     }
   }
 }

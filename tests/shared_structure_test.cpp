@@ -172,6 +172,21 @@ progen::trace_config racy_config(std::uint64_t seed) {
   return cfg;
 }
 
+/// Long bodies dominated by accesses: runs of accesses between structure
+/// events outgrow the publish batch, so producers fill batches and mostly
+/// hold a partly filled one; the run also outlasts a checker kill.
+progen::trace_config access_heavy_config(std::uint64_t seed) {
+  progen::trace_config cfg = racy_config(seed);
+  cfg.min_stmts = 32;
+  cfg.max_stmts = 96;
+  cfg.max_tasks = 200;
+  cfg.w_read = 16.0;
+  cfg.w_write = 12.0;
+  cfg.w_range_read = 4.0;
+  cfg.w_range_write = 3.0;
+  return cfg;
+}
+
 progen::trace_config safe_config(std::uint64_t seed) {
   progen::trace_config cfg;
   cfg.seed = seed;
@@ -238,20 +253,24 @@ TEST(SharedStructureDiff, TinyRingBackpressure) {
   expect_matches(det, ref, prog, "ring=8");
 }
 
-/// The batched-publish flush policy (options::ring_batch) must be
-/// invariant: batch boundaries only move events between publish calls,
-/// never across a structure terminator.
+/// Staged publish must be invariant: batch boundaries only move events
+/// between release stores, never across a structure terminator. Ring
+/// capacity moves the boundaries — below the publish batch every publish
+/// is a flush before a wait for space; above it, full batches publish on
+/// their own — so sweep it in both structure modes.
 TEST(SharedStructureDiff, BatchSizeInvariant) {
   progen::program_trace prog(racy_config(19));
   const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
-  for (const std::size_t batch : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{4}, std::size_t{64}}) {
-    race_detector::options opts = base_opts(dsr::backend_kind::graph);
-    opts.ring_batch = batch;
-    const std::string label = "batch=" + std::to_string(batch);
-    parallel_detector det = run_parallel(prog, opts, 4, shared_tune());
+  for (const std::size_t ring : {std::size_t{2}, std::size_t{8},
+                                 std::size_t{32}, std::size_t{64}}) {
+    const std::string label = "ring=" + std::to_string(ring);
+    parallel_detector::tuning tune = shared_tune();
+    tune.ring_capacity = ring;
+    parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4, tune);
     expect_matches(det, ref, prog, label);
-    parallel_detector rep = run_parallel(prog, opts, 4, {});
+    tune.structure = structure_mode::replicated;
+    parallel_detector rep =
+        run_parallel(prog, base_opts(dsr::backend_kind::graph), 4, tune);
     expect_matches(rep, ref, prog, label + " (replicated)");
   }
 }
@@ -282,19 +301,25 @@ TEST(SharedStructureDiff, StealPerturbationAndPartialStructureGuard) {
 
 /// A checker killed mid-stream: the writer services the dead shard (so
 /// neither producers nor the fence wedge) and finalize finishes its runs.
+/// The access-heavy program makes producers hold staged accesses for the
+/// dead shard when the kill lands.
 TEST(SharedStructureDiff, CheckerKillServicedByWriter) {
-  progen::program_trace prog(racy_config(53));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
-  for (const std::uint64_t kill_at : {1u, 40u, 400u}) {
-    inject::fault_plan plan;
-    plan.pipe_kill_at = kill_at;
-    inject::fault_injector inj(plan);
-    inject::scoped_injector guard(inj);
-    parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4);
-    const std::string label = "kill_at=" + std::to_string(kill_at);
-    expect_matches(det, ref, prog, label);
-    if (inj.snapshot().pipe_kills > 0) {
-      EXPECT_GT(det.pipe_stats().workers_died, 0u) << label;
+  for (const progen::trace_config& cfg :
+       {racy_config(53), access_heavy_config(53)}) {
+    progen::program_trace prog(cfg);
+    const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+    for (const std::uint64_t kill_at : {1u, 40u, 400u, 2000u}) {
+      inject::fault_plan plan;
+      plan.pipe_kill_at = kill_at;
+      inject::fault_injector inj(plan);
+      inject::scoped_injector guard(inj);
+      parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4);
+      const std::string label = "stmts<=" + std::to_string(cfg.max_stmts) +
+                                " kill_at=" + std::to_string(kill_at);
+      expect_matches(det, ref, prog, label);
+      if (inj.snapshot().pipe_kills > 0) {
+        EXPECT_GT(det.pipe_stats().workers_died, 0u) << label;
+      }
     }
   }
 }

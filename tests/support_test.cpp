@@ -5,10 +5,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
 
+#include "futrace/detect/event_ring.hpp"
 #include "futrace/support/arena.hpp"
 #include "futrace/support/flags.hpp"
 #include "futrace/support/json.hpp"
@@ -18,6 +20,10 @@
 #include "futrace/support/spsc_ring.hpp"
 #include "futrace/support/stats.hpp"
 #include "futrace/support/table.hpp"
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
 
 namespace futrace::support {
 namespace {
@@ -640,87 +646,193 @@ TEST(SpscRing, PublishConsumeBatch) {
   }
 }
 
-TEST(SpscRing, PublishNConsumeNBatchedCopies) {
-  spsc_ring<int> ring(8);
-  int src[12];
-  for (int i = 0; i < 12; ++i) src[i] = 100 + i;
-  // More items than capacity: publish_n writes what fits and reports it.
-  EXPECT_EQ(ring.publish_n(src, 12), 8u);
-  EXPECT_EQ(ring.free_slots(), 0u);
-  // Full ring: a further publish_n is a zero-write no-op, not a partial lie.
-  EXPECT_EQ(ring.publish_n(src, 1), 0u);
-  int dst[8] = {};
-  // consume_n bounded by max, then by availability.
-  EXPECT_EQ(ring.consume_n(dst, 3), 3u);
-  EXPECT_EQ(dst[0], 100);
-  EXPECT_EQ(dst[2], 102);
-  EXPECT_EQ(ring.consume_n(dst, 8), 5u);
-  EXPECT_EQ(dst[0], 103);
-  EXPECT_EQ(dst[4], 107);
-  // Empty ring: consume_n returns 0 without touching dst.
-  dst[0] = -1;
-  EXPECT_EQ(ring.consume_n(dst, 8), 0u);
-  EXPECT_EQ(dst[0], -1);
-}
-
-TEST(SpscRing, PublishNWrapsAcrossTheSeam) {
-  // Advance head/tail so a batch straddles the buffer end: the copy loop
-  // must route through the mask, not assume contiguity.
-  spsc_ring<std::uint64_t> ring(8);
-  std::uint64_t scratch[8];
-  for (int round = 0; round < 5; ++round) {
-    const std::uint64_t base = std::uint64_t(round) * 6;
-    std::uint64_t src[6];
-    for (std::uint64_t i = 0; i < 6; ++i) src[i] = base + i;
-    std::size_t wrote = 0;
-    while (wrote < 6) wrote += ring.publish_n(src + wrote, 6 - wrote);
-    std::size_t got = 0;
-    while (got < 6) got += ring.consume_n(scratch + got, 6 - got);
-    for (std::uint64_t i = 0; i < 6; ++i) EXPECT_EQ(scratch[i], base + i);
+// Staged slots are the producer's business until the run reaches the
+// publish batch or the producer flushes: the consumer must see none of
+// them before, and all of them (in one store) after.
+TEST(SpscRing, StagedSlotsInvisibleUntilBatchOrFlush) {
+  spsc_ring<int> ring(128);
+  constexpr std::size_t kBatch = spsc_ring<int>::k_publish_batch;
+  ASSERT_LT(kBatch + 8, ring.capacity());
+  for (std::size_t i = 0; i + 1 < kBatch; ++i) {
+    ring.produce_slot(0) = static_cast<int>(i);
+    ring.stage(1);
+    ASSERT_EQ(ring.readable_refresh(), 0u) << "staged " << i + 1;
+    ASSERT_EQ(ring.size_approx(), 0u);
   }
+  // The slot that fills the batch publishes the whole run.
+  ring.produce_slot(0) = static_cast<int>(kBatch - 1);
+  ring.stage(1);
+  ASSERT_EQ(ring.readable_refresh(), kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    EXPECT_EQ(ring.consume_slot(i), static_cast<int>(i));
+  }
+  ring.pop(kBatch);
+
+  // A short run stays invisible until flush().
+  for (int i = 0; i < 3; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = 100 + i;
+  ring.stage(3);
+  EXPECT_EQ(ring.readable_refresh(), 0u);
+  ring.flush();
+  ASSERT_EQ(ring.readable_refresh(), 3u);
+  ring.flush();  // nothing staged: no-op
+  EXPECT_EQ(ring.readable_refresh(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(ring.consume_slot(i), 100 + static_cast<int>(i));
+  }
+  ring.pop(3);
+
+  // A multi-slot record staged in one call is never split by the batch
+  // rule: the run that crosses the batch size publishes whole.
+  for (std::size_t i = 0; i + 2 < kBatch; ++i) {
+    ring.produce_slot(0) = static_cast<int>(i);
+    ring.stage(1);
+  }
+  for (int i = 0; i < 5; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = -1 - i;
+  ring.stage(5);
+  ASSERT_EQ(ring.readable_refresh(), kBatch - 2 + 5);
+  EXPECT_EQ(ring.consume_slot(kBatch - 2), -1);
+  EXPECT_EQ(ring.consume_slot(kBatch + 2), -5);
 }
 
-TEST(SpscRing, PublishNConsumeNTwoThreadStress) {
-  // The batched paths under real concurrency: every value exactly once, in
-  // order, with both sides using uneven batch sizes to shear the seams.
+// Staged slots occupy the ring: free_slots() must count them, and
+// produce_slot() must index past them, or a producer would overwrite its
+// own unpublished run. A producer with more items than room stages only
+// what fits (partial fit) and waits for the consumer to free the rest.
+TEST(SpscRing, FreeSlotsCountStagedSlots) {
+  spsc_ring<int> ring(8);
+  EXPECT_EQ(ring.free_slots(), 8u);
+  for (int i = 0; i < 5; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = 100 + i;
+  ring.stage(5);
+  EXPECT_EQ(ring.free_slots(), 3u);
+  EXPECT_EQ(ring.free_slots_refresh(), 3u);
+  EXPECT_EQ(ring.readable_refresh(), 0u);
+  // Twelve items wanted, three fit.
+  const std::size_t fit = ring.free_slots();
+  for (std::size_t i = 0; i < fit; ++i) {
+    ring.produce_slot(i) = 105 + static_cast<int>(i);
+  }
+  ring.stage(fit);
+  EXPECT_EQ(ring.free_slots(), 0u);
+  EXPECT_EQ(ring.free_slots_refresh(), 0u);
+  ring.flush();
+  ASSERT_EQ(ring.readable_refresh(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(ring.consume_slot(i), 100 + static_cast<int>(i));
+  }
+  ring.pop(3);
+  EXPECT_EQ(ring.free_slots(), 3u);  // the full view refreshes
+  ring.produce_slot(0) = 7;
+  ring.stage(1);
+  EXPECT_EQ(ring.free_slots(), 2u);
+}
+
+// Head and tail advance so staged runs straddle the buffer end, partly
+// behind published-but-unconsumed slots: every write and read must route
+// through the mask.
+TEST(SpscRing, StagingWrapsAcrossTheSeam) {
+  spsc_ring<std::uint64_t> ring(8);
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  for (int round = 0; round < 12; ++round) {
+    // Two staged runs of uneven length, one flush.
+    for (const std::size_t run : {std::size_t{4}, std::size_t{2}}) {
+      ASSERT_GE(ring.free_slots_refresh(), run) << "round " << round;
+      for (std::size_t i = 0; i < run; ++i) ring.produce_slot(i) = next_in++;
+      ring.stage(run);
+    }
+    ring.flush();
+    // Leave one slot unconsumed on odd rounds so the seam keeps moving.
+    const std::size_t n = ring.readable_refresh();
+    const std::size_t take = (round % 2 == 1) ? n - 1 : n;
+    for (std::size_t i = 0; i < take; ++i) {
+      EXPECT_EQ(ring.consume_slot(i), next_out++);
+    }
+    ring.pop(take);
+  }
+  const std::size_t rest = ring.readable_refresh();
+  for (std::size_t i = 0; i < rest; ++i) {
+    EXPECT_EQ(ring.consume_slot(i), next_out++);
+  }
+  ring.pop(rest);
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(SpscRing, StagedTwoThreadStress) {
+  // Uneven staged runs (1..7 slots, like multi-slot records), flushes at
+  // irregular points and before every wait for space, and a consumer
+  // retiring uneven chunks: every value exactly once, in order.
   spsc_ring<std::uint64_t> ring(32);
   constexpr std::uint64_t kItems = 50000;
   std::atomic<bool> failed{false};
   std::thread consumer([&] {
-    std::uint64_t scratch[13];
     std::uint64_t expect = 0;
+    std::size_t chunk = 1;
     while (expect < kItems) {
-      const std::size_t n = ring.consume_n(scratch, 13);
+      const std::size_t n = ring.readable();
       if (n == 0) {
         std::this_thread::yield();
         continue;
       }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (scratch[i] != expect + i) {
+      const std::size_t take = n < chunk ? n : chunk;
+      chunk = chunk % 13 + 1;
+      for (std::size_t i = 0; i < take; ++i) {
+        if (ring.consume_slot(i) != expect + i) {
           failed.store(true);
           return;
         }
       }
-      expect += n;
+      expect += take;
+      ring.pop(take);
     }
   });
-  std::uint64_t batch[7];
   std::uint64_t produced = 0;
+  std::uint64_t runs = 0;
   while (produced < kItems) {
-    std::size_t want = 7;
-    if (want > kItems - produced) want = kItems - produced;
-    for (std::size_t i = 0; i < want; ++i) batch[i] = produced + i;
-    std::size_t wrote = 0;
-    while (wrote < want) {
-      const std::size_t n = ring.publish_n(batch + wrote, want - wrote);
-      if (n == 0) std::this_thread::yield();
-      wrote += n;
+    std::size_t run = static_cast<std::size_t>(runs % 7) + 1;
+    if (run > kItems - produced) run = static_cast<std::size_t>(kItems - produced);
+    if (ring.free_slots() < run) {
+      ring.flush();
+      while (ring.free_slots_refresh() < run) std::this_thread::yield();
     }
-    produced += want;
+    for (std::size_t i = 0; i < run; ++i) ring.produce_slot(i) = produced + i;
+    ring.stage(run);
+    produced += run;
+    if (++runs % 5 == 0) ring.flush();
   }
+  ring.flush();
   consumer.join();
   EXPECT_FALSE(failed.load());
 }
+
+#if defined(__linux__)
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// The slot array is allocated, never initialised: building a 64 MiB ring
+// must not make its pages resident. A value-initialising ring writes every
+// slot and grows RSS by the full 64 MiB.
+TEST(SpscRing, ConstructionTouchesNoSlots) {
+  constexpr std::size_t kBytes = std::size_t{64} << 20;
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  detect::event_ring ring(kBytes / sizeof(detect::pipe_event));
+  const std::size_t after = resident_bytes();
+  ASSERT_EQ(ring.capacity() * sizeof(detect::pipe_event), kBytes);
+  const std::size_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, std::size_t{4} << 20);
+  // Writing a slot is what makes its page resident; the ring still works.
+  ring.produce_slot(0).seq = 42;
+  ring.publish(1);
+  ASSERT_EQ(ring.readable_refresh(), 1u);
+  EXPECT_EQ(ring.consume_slot(0).seq, 42u);
+  ring.pop(1);
+}
+#endif
 
 TEST(SpscRing, WrapsAroundManyTimes) {
   spsc_ring<std::uint64_t> ring(4);
