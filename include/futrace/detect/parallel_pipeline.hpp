@@ -1,10 +1,12 @@
 #pragma once
 
 /// \file parallel_pipeline.hpp
-/// Parallel-execution race detection (`exec_mode::parallel_detect`): the
-/// work-stealing engine runs the program for real on P workers while W shard
-/// checkers detect races concurrently. This generalizes the pipelined
-/// detector (pipeline.hpp, one serial producer) to P producers:
+/// Concurrent race detection: P producers stream events to W shard
+/// checkers. Under `exec_mode::parallel_detect` the producers are the
+/// work-stealing engine's workers, running the program for real; the
+/// pipelined detector (pipeline.hpp) is the one-producer case, fed by the
+/// serial engine through a thin translating observer. This is futrace's
+/// only concurrent transport:
 ///
 ///   engine workers (P threads)             shard checkers (W threads)
 ///   --------------------------             --------------------------
@@ -18,31 +20,33 @@
 /// task end, finish, get, put) are broadcast to all W of the emitting
 /// worker's rings; access events are canonicalized producer-side (span_of
 /// against the live element geometry) and routed to the owning shard, range
-/// events split at chunk boundaries exactly as in the pipelined detector.
+/// events split at chunk boundaries into per-owner sub-events.
 ///
-/// Unlike the serial pipeline, per-ring FIFO order is no longer a global
-/// epoch barrier: P streams interleave arbitrarily. The merge key is *DAG
-/// position* — every event carries its producing task's pid (the engine's
-/// spawn-order id) and per-task step counter, and each checker demuxes its
-/// rings into per-pid FIFO queues (a pid executes on one OS thread, so its
-/// program order survives the transport). A replayer then reconstructs the
-/// serial depth-first elision order purely from stream structure: it
-/// descends into a child's queue at its spawn event, returns at its task
-/// end, renumbers tasks densely exactly as the serial engine would, and
-/// re-derives continuation splits at promise puts, finish joined-lists, and
-/// get targets (via the put ordinal / producer pid carried on the wire).
+/// Per-ring FIFO order is not a global epoch barrier: P streams interleave
+/// arbitrarily. The merge key is *DAG position* — every event carries its
+/// producing task's pid (the engine's spawn-order id), and each checker
+/// demuxes its rings into per-pid FIFO queues (a pid executes on one OS
+/// thread, so its program order survives the transport). A replayer then
+/// reconstructs the serial depth-first elision order purely from stream
+/// structure: it descends into a child's queue at its spawn event, returns
+/// at its task end, renumbers tasks densely exactly as the serial engine
+/// would, and re-derives continuation splits at promise puts, finish
+/// joined-lists, and get targets (via the put ordinal / producer pid
+/// carried on the wire).
 /// Each replica therefore observes the exact event stream the inline
 /// serial detector would have seen — structure events are admitted in
 /// happens-before (serial DFS) order before any dependent access event —
-/// so verdicts, canonically-sorted reports, and paper counters are
-/// bit-identical to the serial inline run by construction (DESIGN.md §14).
+/// so verdicts, reports, and paper counters are bit-identical to the
+/// serial inline run by construction (DESIGN.md §14). With one producer
+/// the stream arrives in DFS order already, and each event is applied as
+/// it is drained.
 ///
-/// Failure model mirrors the pipeline: a full ring backpressures the
-/// emitting worker; a checker that dies (fault injection, thread-start or
-/// ring-allocation failure) flips its shard to spill mode — producers
-/// buffer that shard's events locally (still single-producer), and the
-/// finalize step drains ring-then-spill per producer and finishes the
-/// replay inline on the main thread. Sticky, counted, never a lost event.
+/// Failure model: a full ring backpressures the emitting worker; a checker
+/// that dies (fault injection, thread-start or ring-allocation failure)
+/// flips its shard to spill mode — producers buffer that shard's events
+/// locally (still single-producer), and the finalize step drains
+/// ring-then-spill per producer and finishes the replay inline on the main
+/// thread. Sticky, counted, never a lost event.
 /// options::fail_fast is forced off (the first-race throw is only
 /// meaningful on the execution thread of a serial run).
 ///
@@ -116,9 +120,10 @@ enum class structure_mode : std::uint8_t {
 /// The parallel_sink implementation: attach with runtime::add_parallel_sink
 /// under {.mode = exec_mode::parallel_detect, .workers = P}, query results
 /// after run() returns (queries finalize: join checkers, finish the replay,
-/// merge shards). The query surface mirrors pipelined_detector; reports()
-/// is canonically sorted (race_report.hpp) so output is byte-comparable
-/// across schedules.
+/// merge shards). pipelined_detector drives one as producer 0. reports()
+/// does not depend on the schedule: replicated mode merges by serial
+/// position (the inline report sequence), shared mode sorts canonically
+/// (race_report.hpp).
 class parallel_detector final : public detail::parallel_sink {
  public:
   struct tuning {
@@ -169,15 +174,18 @@ class parallel_detector final : public detail::parallel_sink {
                           std::size_t bytes) override;
   void program_done() override;
 
-  // -- results (mirror pipelined_detector's query surface) -------------------
+  // -- results ---------------------------------------------------------------
   bool race_detected() const;
   std::uint64_t race_count() const;
   bool degraded() const;
-  /// Canonically sorted by report_canonical_less; byte-comparable across
-  /// schedules and worker counts.
+  /// Replicated: the inline detector's report sequence and max_reports
+  /// truncation, merged by serial position. Shared: sorted by
+  /// report_canonical_less. Either way byte-comparable across schedules
+  /// and worker counts.
   const std::vector<race_report>& reports() const;
   std::vector<const void*> racy_locations() const;
   detector_counters counters() const;
+  /// Walks every shard's shadow state: computed per call, not at finalize.
   std::size_t memory_bytes() const;
   /// Footprint of the reachability structure(s) alone: the one shared
   /// graph + backend under structure_mode::shared, or the sum over the W

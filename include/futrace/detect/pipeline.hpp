@@ -1,41 +1,43 @@
 #pragma once
 
 /// \file pipeline.hpp
-/// Pipelined, address-sharded race detection: overlap the instrumented
-/// serial execution with race checking instead of paying the full detector
-/// on the execution thread.
+/// Pipelined race detection: overlap the instrumented serial execution
+/// with race checking instead of paying the full detector on the execution
+/// thread.
 ///
-///   execution thread                      checker workers (W threads)
-///   ----------------                      ---------------------------
-///   run program, observe events  ──ring 0──►  worker 0: graph replica +
-///   span_of + shard routing      ──ring 1──►  worker 1:   shadow shard
-///   (~120 ns per event)              ...         ...
+///   execution thread                      checker threads (W)
+///   ----------------                      -------------------
+///   run program, observe events  ──ring 0──►  checker 0: DFS replay into
+///   translate to the parallel    ──ring 1──►  checker 1:   graph replica +
+///   wire, span_of + routing          ...                  shadow shard
 ///
-/// Architecture (DESIGN.md §10): every worker owns a complete private
+/// This is the one-producer case of parallel-detect (parallel_pipeline.hpp,
+/// DESIGN.md §10 and §14): pipelined_detector is a thin observer that
+/// translates the serial observer stream into the parallel wire and feeds
+/// it, as producer 0, to a replicated parallel_detector with W =
+/// detect_threads checkers. Every checker owns a complete private
 /// race_detector — its own reachability-graph replica and a shadow memory
-/// clipped to the address chunks it owns (shard.hpp). Graph events (spawn,
-/// end, finish, get, put) are broadcast to every ring; access events are
-/// routed to exactly one worker by address. Because a mutation rides in the
-/// same FIFO as the accesses it orders, a worker can never check an access
-/// against a graph state other than the one the serial execution had — per
-/// -ring FIFO order *is* the epoch barrier, with no coordinator thread and
-/// no shared mutable detector state.
+/// clipped to the address chunks it owns (shard.hpp). Structure events are
+/// broadcast to every checker; access events are routed to exactly one by
+/// address. A single producer's stream already is the serial depth-first
+/// order, so each checker's replayer applies every event as it arrives.
 ///
 /// Determinism: per-location verdicts are exactly the inline detector's
-/// (one worker sees all accesses of a location, in serial order, against
-/// the correct graph), merged reports reproduce the inline report sequence
-/// (workers tag reports with the serial event number; a deterministic merge
-/// reorders them), and the paper-level counters of Table 2 are exact sums /
-/// maxima over shards. Engine-tier diagnostics (direct/hashed/stamp hit
-/// counts and the like) are layout-dependent and only comparable between
-/// runs of the same configuration.
+/// (one checker sees all accesses of a location, in serial order, against
+/// the correct graph), reports merge by serial position into the inline
+/// report sequence and its max_reports truncation, and the paper-level
+/// counters of Table 2 are exact sums / maxima over shards. Engine-tier
+/// diagnostics (direct/hashed/stamp hit counts and the like) are
+/// layout-dependent and only comparable between runs of the same
+/// configuration.
 ///
 /// Failure model: a full ring means backpressure (the producer spins),
-/// never allocation or drops. A checker worker that dies mid-run (fault
-/// injection, thread-start failure) degrades the pipeline to inline
-/// checking for that shard — sticky and counted, never a deadlock or a
-/// lost event. options::fail_fast forces inline mode outright: the first
-/// race must throw at the faulting access on the execution thread.
+/// never allocation or drops. A checker that dies mid-run (fault
+/// injection, thread-start failure) has its events spilled by the
+/// producer and replayed at finalize — sticky and counted, never a
+/// deadlock or a lost event. options::fail_fast and a refused ring
+/// allocation force inline mode: the first race must throw at the faulting
+/// access on the execution thread.
 
 #include <cstdint>
 #include <memory>
@@ -53,7 +55,7 @@ namespace futrace::detect {
 struct pipeline_stats {
   std::uint64_t workers = 0;        // checker threads actually started
   std::uint64_t ring_capacity = 0;  // slots per ring (rounded to pow2)
-  std::uint64_t events = 0;         // serial observer events streamed
+  std::uint64_t events = 0;         // wire events streamed
   std::uint64_t access_events = 0;  // subset routed by address
   /// Extra sub-events minted when a range access straddled chunk owners.
   std::uint64_t split_subevents = 0;
@@ -62,9 +64,10 @@ struct pipeline_stats {
   /// Ring fill-level sampling (every 64th push), for the Pipe% column.
   std::uint64_t occupancy_samples = 0;
   std::uint64_t occupancy_sum = 0;
-  /// Events applied inline on the execution thread after a worker died or
-  /// the pipeline could not be constructed. Sticky degradation, not an
-  /// error: verdicts stay exact, overlap is lost for the affected shard.
+  /// Events replayed on the main thread at finalize after a checker died
+  /// (plus one when the rings could not be allocated). Sticky degradation,
+  /// not an error: verdicts stay exact, overlap is lost for the affected
+  /// shard.
   std::uint64_t inline_fallbacks = 0;
   std::uint64_t workers_died = 0;
   // -- shared-structure mode (parallel_pipeline.hpp, --structure=shared);
@@ -91,16 +94,16 @@ struct pipeline_stats {
 /// Drop-in replacement for attaching a race_detector directly: construct
 /// with options whose detect_threads selects inline (0) or pipelined (N)
 /// checking, attach to the runtime, query results after run(). Queries
-/// finalize the pipeline (join workers, merge shards) on first use.
+/// finalize the pipeline (join checkers, merge shards) on first use.
 class pipelined_detector final : public execution_observer {
  public:
   struct tuning {
-    /// Slots per worker ring (rounded up to a power of two). 16Ki slots =
+    /// Slots per checker ring (rounded up to a power of two). 16Ki slots =
     /// 1 MiB per ring, deep enough to absorb checker hiccups. The ring is
     /// allocated untouched, so a run pays (in time and resident memory)
     /// only for the slots it actually writes.
     std::size_t ring_capacity = std::size_t{1} << 14;
-    /// log2 of the address-chunk size dealt round-robin to workers.
+    /// log2 of the address-chunk size dealt round-robin to checkers.
     unsigned chunk_shift = k_default_chunk_shift;
   };
 
@@ -117,6 +120,7 @@ class pipelined_detector final : public execution_observer {
   void on_program_start(task_id root) override;
   void on_task_spawn(task_id parent, task_id child, task_kind kind) override;
   void on_task_end(task_id t) override;
+  void on_finish_start(task_id owner) override;
   void on_finish_end(task_id owner, std::span<const task_id> joined) override;
   void on_get(task_id waiter, task_id target) override;
   void on_promise_put(task_id fulfiller) override;

@@ -49,7 +49,7 @@ class suppression_set;
 enum degradation_reason : std::uint32_t {
   k_degraded_shadow_cap = 1u << 0,   // shadow byte cap / failed allocation
   k_degraded_graph_cap = 1u << 1,    // task-vertex cap / failed allocation
-  k_degraded_worker_death = 1u << 2, // pipelined worker died, inline fallback
+  k_degraded_worker_death = 1u << 2, // checker died, replayed at finalize
   k_degraded_error_limit = 1u << 3,  // report throttling engaged (benign)
 };
 
@@ -160,9 +160,9 @@ class race_detector final : public execution_observer {
     /// way. The native path needs the slab tier, so it engages only when
     /// enable_fastpath is also on.
     bool enable_range_checks = true;
-    /// Number of pipelined checker workers (pipeline.hpp). 0 — the default —
+    /// Number of pipelined checker threads (pipeline.hpp). 0 — the default —
     /// means inline checking on the execution thread; N >= 1 streams events
-    /// to N address-sharded workers. race_detector itself ignores the field
+    /// to N address-sharded checkers. race_detector itself ignores the field
     /// (it is always a single-threaded checker); pipelined_detector reads it
     /// to decide between forwarding inline and spinning up the pipeline.
     unsigned detect_threads = 0;
@@ -209,16 +209,16 @@ class race_detector final : public execution_observer {
   race_detector();
   explicit race_detector(options opts);
 
-  // -- pipelined-worker configuration (pipeline.hpp) --------------------------
+  // -- shard checker configuration (parallel_pipeline.hpp) --------------------
   /// Promises that every scalar on_read/on_write address is already the
-  /// canonical element base with size == stride (the pipelined producer runs
-  /// span_of before routing), so the worker-side detector skips the span
+  /// canonical element base with size == stride (the producer runs span_of
+  /// before routing), so the checker-side detector skips the span
   /// decomposition entirely. Off by default: the inline detector must
   /// canonicalize for itself.
   void set_assume_canonical(bool on) noexcept { assume_canonical_ = on; }
 
-  /// Restricts this detector's shadow memory to the addresses one pipelined
-  /// worker owns (shard.hpp); forwards to shadow_memory::set_shard. Must be
+  /// Restricts this detector's shadow memory to the addresses one shard
+  /// checker owns (shard.hpp); forwards to shadow_memory::set_shard. Must be
   /// called before the first access event.
   void configure_shard(unsigned chunk_shift, std::size_t index,
                        std::size_t count) noexcept {
@@ -232,10 +232,10 @@ class race_detector final : public execution_observer {
   }
 
   /// Silences this detector's runtime-event trace emissions (spawn/end/
-  /// finish/get/put). Pipelined worker replicas replay the producer's graph
+  /// finish/get/put). Shard checker replicas replay the producers' graph
   /// stream, so without muting every runtime event would appear once per
-  /// worker in the timeline; races and slab events stay un-muted because
-  /// address sharding already makes each of those unique to one worker.
+  /// checker in the timeline; races and slab events stay un-muted because
+  /// address sharding already makes each of those unique to one checker.
   void set_trace_muted(bool on) noexcept { trace_muted_ = on; }
 
   // -- shared-structure checker mode (parallel_pipeline.hpp) ------------------
@@ -527,8 +527,8 @@ class race_detector final : public execution_observer {
   std::uint64_t summary_hits_ = 0;
   bool stamp_enabled_ = true;
   bool range_enabled_ = true;
-  bool assume_canonical_ = false;  // pipelined worker mode: skip span_of
-  bool trace_muted_ = false;       // worker replica: no runtime-event tracing
+  bool assume_canonical_ = false;  // shard checker mode: skip span_of
+  bool trace_muted_ = false;       // checker replica: no runtime-event tracing
   // -- shared-structure checker mode (parallel_pipeline.hpp) -----------------
   race_detector* shared_owner_ = nullptr;  // structure owner (writer-side)
   std::mutex* shared_mutex_ = nullptr;     // serializes mutable query paths

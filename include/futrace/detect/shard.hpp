@@ -1,24 +1,24 @@
 #pragma once
 
 /// \file shard.hpp
-/// Address-sharding rule shared by the pipelined detector's producer (which
-/// routes access events to checker workers) and by shadow memory (which, in
-/// shard mode, materializes slab cells only for the addresses its worker
-/// owns). Both sides MUST agree on ownership, so the rule lives here alone:
+/// Address-sharding rule shared by the concurrent detector's producers
+/// (which route access events to shard checkers) and by shadow memory
+/// (which, in shard mode, materializes slab cells only for the addresses
+/// its checker owns). Both sides MUST agree on ownership, so the rule lives
+/// here alone:
 ///
 ///   owner(addr) = (addr >> chunk_shift) % shard_count
 ///
 /// i.e. the address space is cut into 2^chunk_shift-byte chunks dealt
-/// round-robin to the workers. Chunks (rather than a per-address hash) keep
-/// runs of consecutive array elements on one worker, so bulk range events
+/// round-robin to the checkers. Chunks (rather than a per-address hash) keep
+/// runs of consecutive array elements on one checker, so bulk range events
 /// split into at most a handful of per-chunk sub-events and the range-walk
 /// fast path survives sharding. A location is owned by the chunk containing
 /// its *element base* address — scalar accesses are canonicalized to the
 /// element base before routing, so sub-element and straddling accesses
 /// resolve to the same owner as the element itself.
 ///
-/// Parallel-detect mode routes by the same rule from P producers, and its
-/// shared-structure variant (DESIGN.md §15) leans on the resulting
+/// The shared-structure mode (DESIGN.md §15) leans on the resulting
 /// partition for lock-freedom: shards never share a location, so checkers
 /// only contend on the one reachability graph, never on shadow state.
 

@@ -29,7 +29,7 @@
 ///           (computed lazily, only when a rule constrains it)
 ///
 /// A suppression_set is immutable after loading and shared by reference
-/// (pipelined workers all match against one set); hit counts live in each
+/// (shard checkers all match against one set); hit counts live in each
 /// detector so no synchronization is needed.
 
 #include <cstddef>

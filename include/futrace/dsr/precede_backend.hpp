@@ -12,7 +12,7 @@
 /// the *answer path* of the hot PRECEDE(a, b) query:
 ///
 ///   graph — delegates to reachability_graph::precedes verbatim (interval
-///           subsumption + bounded frontier/LSA search + rep-keyed memo).
+///           subsumption + bounded frontier/LSA search + its own memo).
 ///   depa  — DePa-style fork-path labels (depa_labels.hpp) answer live
 ///           spawn-ancestor queries in O(min-label-length), and a
 ///           join-frontier overlay — an anchored union-find over the
@@ -32,8 +32,8 @@
 /// depa and vc backends a cached positive stays valid across set unions and
 /// non-tree edge insertions (reachability to a fixed, still-running b only
 /// grows), so the memo is invalidated only by a task switch or an epoch
-/// compaction, unlike the graph's internal rep-keyed memo which every
-/// union invalidates.
+/// compaction, unlike the graph's internal memo which every union
+/// invalidates.
 
 #include <cstddef>
 #include <cstdint>
@@ -149,7 +149,7 @@ class precede_backend {
   /// True when query_shared() can answer a useful fraction of queries
   /// lock-free. DePa labels are immutable once written, so the depa backend
   /// is the natural concurrent-read choice; the graph backend's query path
-  /// mutates (path halving, visit epochs, rep-keyed memo) and stays fully
+  /// mutates (path halving, visit epochs, its memo) and stays fully
   /// behind the lock.
   virtual bool concurrent_readable() const noexcept { return false; }
 

@@ -139,12 +139,11 @@ class reachability_graph {
   precede_explanation explain(task_id a, task_id b);
 
   /// Enables/disables PRECEDE memoization (on by default). Positive
-  /// verdicts are cached per (representative-of-a, querying-task) and
-  /// invalidated by the only events that can change a cached answer's
-  /// meaning: a task switch (the key's b changed), a set union (the
-  /// representative index may now stand for a larger set), or a non-tree
-  /// edge insertion (conservative; new edges only add ordering). Negative
-  /// verdicts are never cached — they can flip as the graph grows.
+  /// verdicts are cached per (a, querying task) — keyed on `a` itself, not
+  /// its set, because the search prunes by a's own spawn preorder — and
+  /// invalidated by a task switch (the key's b changed), a set union, or a
+  /// non-tree edge insertion (conservative; both only add ordering).
+  /// Negative verdicts are never cached — they can flip as the graph grows.
   void set_memo_enabled(bool enabled) noexcept { memo_enabled_ = enabled; }
 
   // -- Epoch compaction (service mode, DESIGN.md §12) ------------------------
@@ -258,7 +257,7 @@ class reachability_graph {
   static constexpr std::size_t k_memo_slots = 1024;  // power of two
 
   struct memo_entry {
-    task_id rep = k_invalid_task;
+    task_id task = k_invalid_task;  // storage index of the queried a
     std::uint64_t epoch = 0;
   };
 
@@ -267,8 +266,8 @@ class reachability_graph {
     ++stats_.memo_invalidations;
   }
 
-  void memo_store(task_id rep) {
-    memo_[rep & (k_memo_slots - 1)] = memo_entry{rep, memo_epoch_};
+  void memo_store(task_id a) {
+    memo_[a & (k_memo_slots - 1)] = memo_entry{a, memo_epoch_};
   }
 
   // Union-find parent links live in their own dense array so find() touches

@@ -38,7 +38,7 @@ enum class trace_kind : std::uint8_t {
   slab_materialize,  // instant; arg0 = cells materialized from a run summary
   precede_sample,    // "C" counter track; arg0 = precede queries, arg1 = memo hits
   ring_stall,        // instant on a checker-worker track (backpressure)
-  takeover,          // instant: producer took over a dead worker's shard
+  takeover,          // instant: finalize replayed a dead checker's events
   worker_death,      // instant on the dead worker's track
 };
 

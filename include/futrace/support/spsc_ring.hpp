@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file spsc_ring.hpp
-/// Bounded single-producer single-consumer ring buffer. The pipelined and
-/// parallel-detect race detectors stream fixed-size event slots from each
-/// producer to each checker through one of these; the design goals are the
-/// classic ones for that shape:
+/// Bounded single-producer single-consumer ring buffer. The concurrent race
+/// detector (parallel_pipeline.hpp, and the pipelined detector as its
+/// one-producer case) streams fixed-size event slots from each producer to
+/// each checker through one of these; the design goals are the classic
+/// ones for that shape:
 ///
 ///   - Bounded, allocation-free after construction, and untouched at
 ///     construction: the slot array is allocated but never initialised.

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -31,9 +32,9 @@ inline void spin_pause() noexcept {
 #endif
 }
 
-/// Bounded busy-wait (same shape as the pipeline's): pause for a short
-/// burst, then hand the core to the scheduler, because on an oversubscribed
-/// machine the thread being waited on cannot run until the waiter yields.
+/// Bounded busy-wait: pause for a short burst, then hand the core to the
+/// scheduler, because on an oversubscribed machine the thread being waited
+/// on cannot run until the waiter yields.
 struct spin_backoff {
   unsigned spins = 0;
   void wait() noexcept {
@@ -67,6 +68,18 @@ struct replay_finish {
   std::vector<task_id> joined;
 };
 
+/// Serial position of one replica-local race report: structure events
+/// replayed before the access that raised it, the access's wire ordinal,
+/// and its sub-event. Every replica replays the same structure stream, and
+/// the accesses between two structure events all belong to one pid, whose
+/// producer numbers them in program order — so the key orders reports from
+/// different shards exactly as the inline detector raised them.
+struct report_tag {
+  std::uint64_t structure = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t sub = 0;
+};
+
 /// Reconstructs the serial depth-first observer stream from the parallel
 /// wire. Events are demuxed into per-pid FIFO queues (a pid's events arrive
 /// in its program order: its body runs on one OS thread and its ring is
@@ -83,14 +96,27 @@ class dfs_replayer {
   explicit dfs_replayer(race_detector* det) : det_(det) {}
 
   void enqueue(const pipe_event& ev) {
-    ++queued_;
+    ++pending_;
     queues_[ev.task].push_back(ev);
+  }
+
+  /// enqueue() followed by as many step()s as it enables, minus the queue:
+  /// when nothing is pending and `ev` is the current source's next event,
+  /// it is applied at once. A single producer's stream is already in DFS
+  /// order, so there every event takes this path.
+  void offer(const pipe_event& ev) {
+    if (pending_ == 0 && started_ && !ended_ && !source_stack_.empty() &&
+        ev.task == source_stack_.back()) [[likely]] {
+      apply(ev);
+      return;
+    }
+    enqueue(ev);
   }
 
   /// Replays one event if the DFS order admits one; false means blocked
   /// (the current source's next event has not arrived yet).
   bool step() {
-    if (ended_) return false;
+    if (ended_ || pending_ == 0) return false;
     if (!started_) {
       // The root's stream starts with program_start; nothing is admissible
       // before it.
@@ -98,13 +124,14 @@ class dfs_replayer {
       if (it == queues_.end() || it->second.empty()) return false;
       const pipe_event ev = it->second.front();
       it->second.pop_front();
-      ++replayed_;
+      --pending_;
       FUTRACE_DCHECK(ev.op == pipe_op::program_start);
       const task_id root = next_task_++;
       task_stack_.push_back({root, root, k_no_frame, false, put_counter_});
-      serial_initial_.emplace(ev.task, root);
+      set_initial(ev.task, root);
       det_->on_program_start(root);
       source_stack_.push_back(ev.task);
+      ++structure_applied_;
       started_ = true;
       return true;
     }
@@ -113,7 +140,7 @@ class dfs_replayer {
     if (it == queues_.end() || it->second.empty()) return false;
     const pipe_event ev = it->second.front();
     it->second.pop_front();
-    ++replayed_;
+    --pending_;
     apply(ev);
     return true;
   }
@@ -161,6 +188,8 @@ class dfs_replayer {
 
   std::uint64_t infeasible_gets() const noexcept { return infeasible_gets_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
+  /// tags()[i] is the serial position of det->reports()[i].
+  const std::vector<report_tag>& tags() const noexcept { return tags_; }
 
   // -- shared-structure writer interface --------------------------------------
   // The single-writer structure thread applies one event at a time and
@@ -210,7 +239,7 @@ class dfs_replayer {
         finish_stack_.back().joined.push_back(child);
         det_->on_task_spawn(parent, child, static_cast<task_kind>(ev.b));
         task_stack_.push_back({child, child, ief, false, put_counter_});
-        serial_initial_.emplace(static_cast<task_id>(ev.a), child);
+        set_initial(static_cast<task_id>(ev.a), child);
         source_stack_.push_back(static_cast<task_id>(ev.a));
         break;
       }
@@ -249,11 +278,9 @@ class dfs_replayer {
         const task_id waiter = task_stack_.back().id;
         task_id target = k_invalid_task;
         if (ev.b != 0) {
-          const auto it = put_identity_.find(ev.b);
-          if (it != put_identity_.end()) target = it->second;
-        } else {
-          const auto it = serial_initial_.find(static_cast<task_id>(ev.a));
-          if (it != serial_initial_.end()) target = it->second;
+          if (ev.b <= put_identity_.size()) target = put_identity_[ev.b - 1];
+        } else if (ev.a < serial_initial_.size()) {
+          target = serial_initial_[ev.a];
         }
         if (target == k_invalid_task) {
           // The producer has no serial position yet: the parallel schedule
@@ -269,7 +296,10 @@ class dfs_replayer {
         // Serial promise_fulfilled: record the pre-split identity as the
         // promise's join target, then split the current task.
         const task_id fulfiller = task_stack_.back().id;
-        put_identity_.emplace(ev.a, fulfiller);
+        if (ev.a > put_identity_.size()) {
+          put_identity_.resize(ev.a, k_invalid_task);
+        }
+        put_identity_[ev.a - 1] = fulfiller;
         det_->on_promise_put(fulfiller);
         ++put_counter_;
         split_current();
@@ -310,6 +340,28 @@ class dfs_replayer {
         FUTRACE_DCHECK(false);  // consumed by the started_ branch of step()
         break;
     }
+    switch (ev.op) {
+      case pipe_op::read:
+      case pipe_op::write:
+      case pipe_op::read_range:
+      case pipe_op::write_range:
+        while (tags_.size() < det_->reports().size()) {
+          tags_.push_back(report_tag{structure_applied_, ev.seq, ev.sub});
+        }
+        break;
+      case pipe_op::region_retire:
+        break;
+      default:
+        ++structure_applied_;
+        break;
+    }
+  }
+
+  void set_initial(task_id pid, task_id dense) {
+    if (pid >= serial_initial_.size()) {
+      serial_initial_.resize(pid + 1, k_invalid_task);
+    }
+    serial_initial_[pid] = dense;
   }
 
   /// Serial split_current: the running task continues under a fresh dense
@@ -341,15 +393,18 @@ class dfs_replayer {
   /// The DFS descent through the *parallel* id space: source_stack_.back()
   /// names the pid whose queue feeds the replay right now.
   std::vector<task_id> source_stack_;
-  /// pid -> dense id at its spawn (the id a future's state would carry).
-  std::unordered_map<task_id, task_id> serial_initial_;
-  /// put ordinal -> dense pre-split fulfiller id (the id a promise's state
-  /// would carry).
-  std::unordered_map<std::uint64_t, task_id> put_identity_;
+  /// pid -> dense id at its spawn (the id a future's state would carry),
+  /// k_invalid_task until replayed. Pids and put ordinals are dense, so
+  /// both maps are vectors.
+  std::vector<task_id> serial_initial_;
+  /// put ordinal - 1 -> dense pre-split fulfiller id (the id a promise's
+  /// state would carry), k_invalid_task until replayed.
+  std::vector<task_id> put_identity_;
   task_id next_task_ = 0;
   std::uint64_t put_counter_ = 0;
-  std::uint64_t queued_ = 0;
-  std::uint64_t replayed_ = 0;
+  std::uint64_t pending_ = 0;  // events queued, not yet replayed
+  std::uint64_t structure_applied_ = 0;
+  std::vector<report_tag> tags_;
   std::uint64_t infeasible_gets_ = 0;
   std::uint64_t dropped_ = 0;
   bool started_ = false;
@@ -480,12 +535,12 @@ struct parallel_detector::impl {
   unsigned checker_count = 0;  // W
   bool begun = false;
   bool finalized = false;
-  /// Root pid from program_start: the parallel engine never emits a
-  /// task_end for the root, so finalize closes its trace lane itself.
+  /// Root pid from program_start: no producer emits a task_end for the
+  /// root, so finalize closes its trace lane itself.
   task_id root_pid = k_invalid_task;
   /// Ring allocation refused at begin(): no rings, no threads, every event
   /// spills and the whole replay runs at finalize. Full fidelity, zero
-  /// overlap — the pipeline's inline-fallback story.
+  /// overlap.
   bool buffer_mode = false;
   std::atomic<bool> done{false};
 
@@ -509,7 +564,6 @@ struct parallel_detector::impl {
   std::vector<const void*> merged_racy;
   std::vector<std::uint64_t> merged_suppression;
   bool merged_degraded = false;
-  std::size_t merged_memory = 0;
 
   // -- emission (engine worker threads) ---------------------------------------
 
@@ -633,10 +687,9 @@ struct parallel_detector::impl {
     ring.publish(1);
   }
 
-  /// Producer-side execution lanes: in parallel-detect mode the producers
-  /// are the single authoritative runtime-event stream (the checker
-  /// replicas and the structure owner are trace-muted, exactly as the
-  /// pipelined detector mutes its worker replicas).
+  /// Producer-side execution lanes: the producers are the single
+  /// authoritative runtime-event stream (the checker replicas and the
+  /// structure owner are trace-muted).
   void trace_lane(pipe_op op, task_id pid, std::uint64_t a, std::uint64_t b) {
     switch (op) {
       case pipe_op::program_start:
@@ -680,11 +733,13 @@ struct parallel_detector::impl {
     // Staged accesses precede this event in the pid's program order and
     // must reach the wire no later than it does. Replicated: the broadcast
     // lands behind them in every access ring (per-ring FIFO is the demux
-    // invariant) and each ring publishes at once, structure event
-    // included. Shared: the event goes to the writer's ring, so flush the
-    // access rings first — the writer relies on every run-n access being
-    // published before it holds run n's terminator, and checkers cannot
-    // complete run n until then.
+    // invariant). With several producers each ring publishes at once,
+    // structure event included; a single producer stages it like an
+    // access — it flushes before every wait and at finalize, and nothing
+    // else can wait on its staged events. Shared: the event goes to the
+    // writer's ring, so flush the access rings first — the writer relies
+    // on every run-n access being published before it holds run n's
+    // terminator, and checkers cannot complete run n until then.
     pipe_event ev;
     ev.op = op;
     ev.task = pid;
@@ -699,7 +754,7 @@ struct parallel_detector::impl {
       ev.seq = ps.events++;  // producer-stream ordinal (diagnostics only)
       for (std::size_t w = 0; w < checkers.size(); ++w) {
         stage_event(p, w, ev);
-        flush_ring(p, w);
+        if (producers > 1) flush_ring(p, w);
       }
     }
   }
@@ -741,8 +796,9 @@ struct parallel_detector::impl {
   }
 
   /// The access seq tag: replicated mode keeps the producer-stream ordinal
-  /// (diagnostics only); shared mode carries the pid's structure ordinal —
-  /// the run whose graph state this access must be checked against.
+  /// (program order within a pid, the report-merge key); shared mode
+  /// carries the pid's structure ordinal — the run whose graph state this
+  /// access must be checked against.
   std::uint64_t access_seq(producer_state& ps, task_id pid) {
     const std::uint64_t seq_no = shared ? struct_seq_of(ps, pid) : ps.events;
     ++ps.events;
@@ -764,7 +820,7 @@ struct parallel_detector::impl {
       ev.a = reinterpret_cast<std::uintptr_t>(span.first);
       ev.b = size;
       // `stride` is dead weight for a scalar access; it carries the
-      // program-touched address for report provenance (as in the pipeline).
+      // program-touched address for report provenance.
       ev.stride = reinterpret_cast<std::uintptr_t>(addr);
       ev.file = site.file;
       ev.line = site.line;
@@ -819,7 +875,7 @@ struct parallel_detector::impl {
           if (action == inject::pipe_stall) [[unlikely]] {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
           }
-          c.rp->enqueue(ring.consume_slot(i));
+          c.rp->offer(ring.consume_slot(i));
         }
         if (n != 0) {
           ring.pop(n);
@@ -1162,7 +1218,7 @@ struct parallel_detector::impl {
     if (finalized) return;
     finalized = true;
     if (!begun) return;  // constructed but never attached to a run
-    // The engine never emits a task_end for the root (it ends with
+    // No producer emits a task_end for the root (the stream ends with
     // program_done); close the root's lane slice so the exported timeline
     // balances, mirroring the serial runtime's on_task_end(root).
     if (obs::trace_enabled() && root_pid != k_invalid_task) [[unlikely]] {
@@ -1193,7 +1249,7 @@ struct parallel_detector::impl {
           event_ring& ring = *c.rings[p];
           const std::size_t n = ring.readable_refresh();
           for (std::size_t i = 0; i < n; ++i) {
-            c.rp->enqueue(ring.consume_slot(i));
+            c.rp->offer(ring.consume_slot(i));
           }
           if (n != 0) {
             ring.pop(n);
@@ -1202,7 +1258,7 @@ struct parallel_detector::impl {
         }
         std::vector<pipe_event>& sp = pstates[p]->spill[c.index];
         taken += sp.size();
-        for (const pipe_event& ev : sp) c.rp->enqueue(ev);
+        for (const pipe_event& ev : sp) c.rp->offer(ev);
         sp.clear();
         sp.shrink_to_fit();
       }
@@ -1213,6 +1269,10 @@ struct parallel_detector::impl {
       stats.inline_fallbacks += taken;
       if (c.dead.load(std::memory_order_relaxed) && c.thread_started) {
         ++stats.workers_died;
+        obs::trace_emit(obs::trace_kind::worker_death,
+                        obs::trace_track::checker, c.index);
+        obs::trace_emit(obs::trace_kind::takeover, obs::trace_track::checker,
+                        c.index, taken);
       }
       pstats.infeasible_gets += c.rp->infeasible_gets();
       pstats.dropped_events += c.rp->dropped();
@@ -1378,35 +1438,19 @@ struct parallel_detector::impl {
                               static_cast<double>(c.shared_mem_accesses);
 
     merged_racy.clear();
-    merged_memory = 0;
     for (auto& cp : checkers) {
       const std::vector<const void*> r = cp->det->racy_locations();
       merged_racy.insert(merged_racy.end(), r.begin(), r.end());
-      merged_memory += cp->det->memory_bytes();
     }
     std::sort(merged_racy.begin(), merged_racy.end());
     merged_racy.erase(std::unique(merged_racy.begin(), merged_racy.end()),
                       merged_racy.end());
     c.racy_locations = merged_racy.size();
-    // Attached checkers report zero structure bytes; the owner's graph +
-    // backend count exactly once here.
-    if (shared) merged_memory += shared->owner->memory_bytes();
 
-    // Report merge: no global serial event number exists across shards (the
-    // wire's seq is a per-producer ordinal), so reports merge by canonical
-    // identity instead — the same order the multi-worker renderers print.
     // Each address is owned by exactly one shard, so there are no
     // cross-shard duplicates to fold.
-    merged_reports.clear();
-    for (auto& cp : checkers) {
-      const std::vector<race_report>& reps = cp->det->reports();
-      merged_reports.insert(merged_reports.end(), reps.begin(), reps.end());
-    }
-    sort_reports_canonical(merged_reports);
-    if (merged_reports.size() > opts.max_reports) {
-      c.reports_capped += merged_reports.size() - opts.max_reports;
-      merged_reports.resize(opts.max_reports);
-    }
+    const std::size_t total = merge_reports();
+    c.reports_capped += total - merged_reports.size();
 
     merged_suppression.clear();
     for (auto& cp : checkers) {
@@ -1427,6 +1471,51 @@ struct parallel_detector::impl {
     }
     merged_degraded = c.degraded;
     merged_counters = c;
+  }
+
+  /// Fills merged_reports, capped at max_reports; returns the uncapped
+  /// total. Replicated: by serial position (report_tag, then local index),
+  /// which reproduces the inline report sequence and its truncation. Each
+  /// replica caps at max_reports, which suffices: a report among the global
+  /// first N has fewer than N predecessors in its own shard too. Shared
+  /// mode applies accesses outside any replayer, so it has no serial
+  /// position and merges by canonical identity instead.
+  std::size_t merge_reports() {
+    merged_reports.clear();
+    if (shared) {
+      for (auto& cp : checkers) {
+        const std::vector<race_report>& reps = cp->det->reports();
+        merged_reports.insert(merged_reports.end(), reps.begin(), reps.end());
+      }
+      sort_reports_canonical(merged_reports);
+      const std::size_t total = merged_reports.size();
+      if (total > opts.max_reports) merged_reports.resize(opts.max_reports);
+      return total;
+    }
+    struct entry {
+      report_tag tag;
+      std::uint32_t idx;
+      const race_report* report;
+    };
+    std::vector<entry> all;
+    for (auto& cp : checkers) {
+      const std::vector<race_report>& reps = cp->det->reports();
+      const std::vector<report_tag>& tags = cp->rp->tags();
+      FUTRACE_DCHECK(tags.size() == reps.size());
+      for (std::size_t i = 0; i < reps.size(); ++i) {
+        all.push_back(entry{tags[i], static_cast<std::uint32_t>(i), &reps[i]});
+      }
+    }
+    std::sort(all.begin(), all.end(), [](const entry& x, const entry& y) {
+      return std::tie(x.tag.structure, x.tag.seq, x.tag.sub, x.idx) <
+             std::tie(y.tag.structure, y.tag.seq, y.tag.sub, y.idx);
+    });
+    const std::size_t keep = std::min(all.size(), opts.max_reports);
+    merged_reports.reserve(keep);
+    for (std::size_t i = 0; i < keep; ++i) {
+      merged_reports.push_back(*all[i].report);
+    }
+    return all.size();
   }
 };
 
@@ -1696,7 +1785,14 @@ detector_counters parallel_detector::counters() const {
 
 std::size_t parallel_detector::memory_bytes() const {
   impl_->finalize();
-  return impl_->merged_memory;
+  // Walks every replica's shadow cells, so it is computed on demand rather
+  // than inside finalize (which time-to-verdict includes). Attached shared-
+  // mode checkers report zero structure bytes; the owner's graph + backend
+  // count exactly once.
+  std::size_t bytes = 0;
+  for (const auto& cp : impl_->checkers) bytes += cp->det->memory_bytes();
+  if (impl_->shared) bytes += impl_->shared->owner->memory_bytes();
+  return bytes;
 }
 
 std::size_t parallel_detector::structure_bytes() const {

@@ -29,7 +29,7 @@ bool parse_backend_kind(std::string_view name, backend_kind* out) noexcept {
 namespace {
 
 /// The default backend: every query is the paper's Algorithm 10 verbatim.
-/// No base memo (the graph keeps its own rep-keyed memo, whose
+/// No base memo (the graph keeps its own memo, whose
 /// invalidation-on-union behaviour the fastpath tests pin), no extra state.
 class graph_backend final : public precede_backend {
  public:

@@ -202,9 +202,8 @@ void reachability_graph::merge(task_id ancestor_side, task_id descendant_side) {
   }
   nodes_[winner].label = label;
   nodes_[winner].lsa = lsa;
-  // A memoized verdict is keyed on a representative index; after a union
-  // that index may stand for a strictly larger set, so every cached entry
-  // is suspect.
+  // Conservative: the memo is keyed on the queried task, and a union only
+  // adds ordering.
   memo_invalidate();
 }
 
@@ -229,13 +228,16 @@ bool reachability_graph::precedes(task_id a, task_id b) {
     // change is exactly a task switch — the lazy form of the switch
     // invalidation. Positive verdicts are monotone while b keeps running
     // (reachability only grows and b's current step only advances), which
-    // is what makes caching them sound between invalidations.
+    // is what makes caching them sound between invalidations. The key is
+    // the queried task itself, not its set: visit() prunes by a's own
+    // spawn preorder, so one member's positive verdict says nothing about
+    // another member of the same set.
     if (b != memo_task_) {
       memo_task_ = b;
       memo_invalidate();
     }
-    const memo_entry& e = memo_[ra & (k_memo_slots - 1)];
-    if (e.rep == ra && e.epoch == memo_epoch_) {
+    const memo_entry& e = memo_[ai & (k_memo_slots - 1)];
+    if (e.task == ai && e.epoch == memo_epoch_) {
       ++stats_.memo_hits;
       return true;
     }
@@ -245,13 +247,13 @@ bool reachability_graph::precedes(task_id a, task_id b) {
   // finish, b is a later task) — no search needed.
   ++stats_.label_comparisons;
   if (nodes_[ra].label.subsumes(nodes_[rb].label)) {
-    if (memo_enabled_) memo_store(ra);
+    if (memo_enabled_) memo_store(ai);
     return true;
   }
   ++stats_.frontier_searches;
   ++query_epoch_;
   if (visit(ai, ra, bi)) {
-    if (memo_enabled_) memo_store(ra);
+    if (memo_enabled_) memo_store(ai);
     return true;
   }
   return false;

@@ -1,12 +1,12 @@
 // Differential tests for the pipelined, address-sharded detection engine
-// (detect::pipelined_detector): with detect_threads in {0, 1, 4} the same
-// program must produce identical verdicts, identical report sequences, and
-// identical paper-level counters — pipelining is a scheduling change, never
-// a semantic one. Plus the pipeline's own mechanics: ring wraparound,
-// oversize finish fan-in, backpressure under a tiny ring, inline fallback
-// when the ring allocation is refused, and fault-injected worker
-// stalls/kills degrading to inline checking instead of deadlocking or
-// dropping events.
+// (detect::pipelined_detector, the one-producer case of parallel-detect):
+// with detect_threads in {0, 1, 4} the same program must produce identical
+// verdicts, identical report sequences, and identical paper-level counters
+// — pipelining is a scheduling change, never a semantic one. Plus the
+// transport's mechanics: ring wraparound and backpressure under a tiny ring
+// with a large finish fan-in, inline fallback when the ring allocation is
+// refused, and fault-injected checker stalls/kills degrading to a finalize
+// replay instead of deadlocking or dropping events.
 
 #include <gtest/gtest.h>
 
@@ -260,10 +260,10 @@ TEST(Pipeline, ProgenSeedSweepAgreesWithInline) {
 
 // ----------------------------------------------------------- ring mechanics
 
-// A 4-slot ring forces constant wraparound and producer backpressure; the
-// oversize finish (100 children = 1 header + 7 continuation slots > 4)
-// exercises the incremental streaming path.
-TEST(Pipeline, TinyRingWrapsAndStreamsOversizeFinish) {
+// A 4-slot ring forces constant wraparound and producer backpressure, and
+// a finish joining 100 children — a joined list far wider than the ring —
+// travels as one finish_end slot that the replayers expand.
+TEST(Pipeline, TinyRingWrapsUnderLargeFanIn) {
   shared_array<int> data(128);
   pipelined_detector::tuning tune;
   tune.ring_capacity = 4;
@@ -390,13 +390,12 @@ TEST(PipelineFaults, KilledWorkerDegradesToInlineChecking) {
 }
 
 TEST(PipelineFaults, KilledWorkerCountersMergeExactly) {
-  // The death drain applies every complete ring event into the dead
-  // worker's own detector and discards only the partial tail (which the
-  // producer re-sends inline to that same detector, in order). Each event
-  // is therefore applied exactly once to exactly the detector its shard
-  // owns — so a killed run must match a clean run at the same width on
-  // EVERY counter, engine-tier diagnostics included, not just the paper
-  // surface.
+  // A dead checker leaves its unconsumed events in its ring, the producer
+  // spills every later one, and finalize replays ring-then-spill into the
+  // dead checker's own detector. Each event is therefore applied exactly
+  // once, in order, to exactly the detector its shard owns — so a killed
+  // run must match a clean run at the same width on EVERY counter,
+  // engine-tier diagnostics included, not just the paper surface.
   shared_array<int> data(256);
   shared<int> cell;
   auto body = [&] {
@@ -414,14 +413,19 @@ TEST(PipelineFaults, KilledWorkerCountersMergeExactly) {
   };
   const pipelined_detector clean = run_pipelined(opts_with_threads(4), body);
   ASSERT_EQ(clean.pipe_stats().workers_died, 0u);
-  // Events the workers consume in total (the kill ordinal's range): every
-  // access sub-event once, every broadcast event once per worker. A kill
-  // on the last of them fires after the producer's last push, so the
-  // producer first notices the death in finalize — after publishing its
-  // staged tail, which the takeover drain must then apply exactly once.
+  // Wire events the checkers consume in total (the kill ordinal's range):
+  // every access sub-event once, every structure event once per checker.
+  // The wire carries no continuation spawns or ends and no root end, and
+  // one finish_begin plus one finish_end per finish, so this is not the
+  // observer event count. A kill on the last of them fires after the
+  // producer's last push: finalize replays just the killed event.
   const detect::pipeline_stats& cs = clean.pipe_stats();
-  const std::uint64_t last = cs.access_events + cs.split_subevents +
-                             4 * (cs.events - cs.access_events);
+  const std::uint64_t structure = cs.events - cs.access_events;
+  const std::uint64_t last =
+      cs.access_events + cs.split_subevents + 4 * structure;
+  // Program start, two finishes (the root's implicit one and the body's),
+  // 6 spawns and 6 task ends.
+  ASSERT_EQ(structure, 17u);
 
   // An 8-slot ring is smaller than the publish batch: every publish is a
   // flush before a wait for space or at end of stream.
@@ -491,14 +495,12 @@ TEST(PipelineFaults, ForcedRingFullInjectsBackpressure) {
   EXPECT_EQ(det.race_count(), ref.race_count());
 }
 
-TEST(PipelineFaults, KillDuringOversizeFinishStreamIsSafe) {
-  // Oversize finish (wider than the whole ring) with a kill armed nearby:
-  // the consume path skips fault hooks mid-stream, so the kill lands on a
-  // neighbouring event boundary and the drain still sees whole events.
-  // Two shapes: 80 children through a 4-slot ring, and 1,000 children
-  // (a 68-slot finish) through a 64-slot ring — twice the publish batch,
-  // so the finish arrives behind a partly filled staged run, which the
-  // producer publishes before it streams the finish.
+TEST(PipelineFaults, KillUnderTinyRingLargeFanInIsSafe) {
+  // A finish whose joined list is wider than the whole ring, with a kill
+  // armed before, inside and after the fan-in. Two shapes: 80 children
+  // through a 4-slot ring, and 1,000 children through a 64-slot ring —
+  // twice the publish batch, so staged runs publish both when full and
+  // before the producer waits.
   struct shape {
     int children;
     std::size_t ring;
@@ -521,7 +523,7 @@ TEST(PipelineFaults, KillDuringOversizeFinishStreamIsSafe) {
       plan.pipe_kill_at = kill_at;
       inject::fault_injector::counters fired;
       pipelined_detector::tuning tune;
-      tune.ring_capacity = sh.ring;  // forces the oversize streaming path
+      tune.ring_capacity = sh.ring;  // far narrower than the fan-in
       const pipelined_detector det =
           run_with_plan(plan, 4, body, &fired, tune);
       const std::string label = "children=" + std::to_string(sh.children) +
@@ -530,9 +532,10 @@ TEST(PipelineFaults, KillDuringOversizeFinishStreamIsSafe) {
       EXPECT_EQ(det.racy_locations(), ref.racy_locations()) << label;
       expect_paper_counters_equal(det.counters(), ref.counters(),
                                   label.c_str());
-      if (fired.pipe_kills > 0) {
-        EXPECT_EQ(det.pipe_stats().workers_died, 1u) << label;
-      }
+      // Every kill point lies inside the wire stream: 165 structure events
+      // x 4 checkers + 144 accesses, and 2,005 x 4 + 1,064.
+      EXPECT_EQ(fired.pipe_kills, 1u) << label;
+      EXPECT_EQ(det.pipe_stats().workers_died, 1u) << label;
     }
   }
 }

@@ -10,11 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "futrace/baselines/oracle_detector.hpp"
 #include "futrace/baselines/vector_clock_detector.hpp"
+#include "futrace/detect/parallel_pipeline.hpp"
+#include "futrace/detect/pipeline.hpp"
 #include "futrace/detect/race_detector.hpp"
+#include "futrace/progen/program_trace.hpp"
 #include "futrace/progen/random_program.hpp"
 #include "futrace/runtime/runtime.hpp"
 
@@ -34,8 +38,9 @@ struct run_result {
   std::uint64_t tasks = 0;
 };
 
+template <typename Program>
 std::set<int> to_var_indices(const std::vector<const void*>& locations,
-                             const random_program& prog) {
+                             const Program& prog) {
   std::set<int> vars;
   for (const void* addr : locations) {
     for (int i = 0; i < prog.num_vars(); ++i) {
@@ -285,6 +290,71 @@ TEST(StructuralInvariants, AsyncFinishReaderBound) {
     EXPECT_LE(det.counters().max_readers, 1u) << "seed=" << seed;
     EXPECT_LE(det.counters().avg_readers, 1.0) << "seed=" << seed;
     EXPECT_EQ(det.counters().non_tree_joins, 0u) << "seed=" << seed;
+  }
+}
+
+// The oracle referees the PRECEDE memo and the concurrent modes on the
+// progen-batch trace shape. A memo keyed on a's set representative served
+// one member's positive verdict to the others; these three traces are the
+// ones in 2,000 where the default detector then missed races (DESIGN.md §9,
+// PRECEDE memoization). The concurrent runs use 64-byte chunks, so the
+// 128-byte variable array always straddles a shard boundary and each shard
+// replica sees a different subset of the queries.
+TEST(OracleReferee, MemoKeyedOnQueriedTask) {
+  for (const std::uint64_t seed :
+       {11543649285176236877ull, 484896432787705565ull,
+        17300148782459959523ull}) {
+    progen::trace_config cfg;
+    cfg.seed = seed;
+    cfg.max_depth = 6;
+    cfg.num_vars = 32;
+    cfg.max_tasks = 200;
+    cfg.max_range_len = 8;
+    progen::program_trace prog(cfg);
+    const std::string label = "trace seed " + std::to_string(seed);
+
+    detect::race_detector fast;
+    detect::race_detector::options no_fastpath;
+    no_fastpath.enable_fastpath = false;
+    detect::race_detector slow(no_fastpath);
+    baselines::oracle_detector oracle;
+    {
+      runtime rt({.mode = exec_mode::serial_dfs});
+      rt.add_observer(&fast);
+      rt.add_observer(&slow);
+      rt.add_observer(&oracle);
+      rt.run([&] { prog(); });
+    }
+    const std::set<int> expected =
+        to_var_indices(oracle.racy_locations(), prog);
+    ASSERT_FALSE(expected.empty()) << label;
+    EXPECT_EQ(to_var_indices(fast.racy_locations(), prog), expected)
+        << label << ": default detector";
+    EXPECT_EQ(to_var_indices(slow.racy_locations(), prog), expected)
+        << label << ": --no-fastpath";
+
+    detect::race_detector::options three_checkers;
+    three_checkers.detect_threads = 3;
+    detect::pipelined_detector piped(three_checkers, {.chunk_shift = 6});
+    {
+      runtime rt({.mode = exec_mode::serial_dfs});
+      rt.add_observer(&piped);
+      rt.run([&] { prog(); });
+    }
+    EXPECT_EQ(to_var_indices(piped.racy_locations(), prog), expected)
+        << label << ": pipelined W=3";
+
+    detect::parallel_detector::tuning tune;
+    tune.checkers = 2;
+    tune.chunk_shift = 6;
+    detect::parallel_detector replicated({}, tune);
+    {
+      runtime rt({.mode = exec_mode::parallel_detect, .workers = 2});
+      rt.add_parallel_sink(&replicated);
+      rt.run([&] { prog(); });
+    }
+    EXPECT_EQ(to_var_indices(replicated.racy_locations(), prog), expected)
+        << label << ": replicated parallel-detect P=2 W=2";
   }
 }
 

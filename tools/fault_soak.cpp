@@ -506,11 +506,11 @@ void soak_parallel_seed(std::uint64_t seed, std::uint32_t watchdog_ms) {
 // Streams each progen program through the detect_threads=4 pipelined detector
 // under a seeded pipe-fault plan (checker stall, checker kill, forced
 // ring-full backpressure, or none — the control group), occasionally with a
-// tiny ring so wraparound and oversize-finish streaming happen under load.
+// tiny ring so wraparound and backpressure happen under load.
 // Invariants: program behavior is untouched, the run never deadlocks or
 // drops events, verdicts / racy locations / paper counters are identical to
-// the inline detector, and a killed checker degrades its shard to inline
-// checking — sticky and counted, still exact. Allocation-ordinal plans are
+// the inline detector, and a killed checker's events are replayed at
+// finalize — sticky and counted, still exact. Allocation-ordinal plans are
 // deliberately excluded here: checker threads consult the allocation gate
 // concurrently, so ordinal triggers are not schedule-stable in pipelined
 // mode.
@@ -625,8 +625,8 @@ void soak_pipelined_seed(std::uint64_t seed) {
   }
 
   const inject::fault_plan plan = pipe_plan_for(seed);
-  // A tiny ring every fourth seed forces wraparound, backpressure, and the
-  // oversize finish-list streaming path under whatever fault is armed.
+  // A tiny ring every fourth seed forces wraparound and backpressure under
+  // whatever fault is armed.
   const std::size_t ring = seed % 4 == 0 ? 64 : std::size_t{1} << 12;
   inject::fault_injector inj(plan);
   pipe_run run;
@@ -667,8 +667,9 @@ void soak_pipelined_seed(std::uint64_t seed) {
     fail(seed, "pipe-counters", ctx + "paper counters diverged from inline");
   }
 
-  // A killed checker must be detected, counted, and degrade its shard to
-  // inline checking without losing events (verdicts already compared above).
+  // A killed checker must be detected, counted, and have its events
+  // replayed at finalize without losing any (verdicts already compared
+  // above).
   if (fired.pipe_kills > 0) {
     if (run.pipe.workers_died == 0) {
       fail(seed, "pipe-kill-uncounted",
