@@ -4,10 +4,11 @@
 /// Chase–Lev work-stealing deque (Chase & Lev, SPAA 2005), with the C11
 /// memory-order discipline of Lê, Pop, Cohen & Zappa Nardelli (PPoPP 2013).
 /// The owner pushes and pops at the bottom; thieves steal from the top.
-/// Used by the parallel engine; exposed as a public header because it is
-/// independently useful and independently unit-tested.
+/// A public, independently tested building block. The parallel engine does
+/// not use it: a blocked wait there must pass over tasks it may not run,
+/// which a deque that only exposes its two ends cannot offer.
 ///
-/// T must be trivially copyable (the engine stores raw task pointers).
+/// T must be trivially copyable (elements are copied through atomics).
 
 #include <atomic>
 #include <cstdint>

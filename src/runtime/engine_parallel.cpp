@@ -10,15 +10,23 @@
 /// points are chosen so each pid's events appear in its program order within
 /// the emitting worker's stream (a task body runs start-to-finish on one OS
 /// thread; helping interleaves other pids' events but never reorders one
-/// pid's own): spawn before the deque publish, task_end before the helper
+/// pid's own): spawn before the queue publish, task_end before the helper
 /// restores its previous identity, put before any getter can observe the
 /// settled state's ordinal, get after the state settles, finish_end only
 /// after the join quiesced. The detector replays the serial DFS order from
 /// this structure (DESIGN.md §14).
 ///
 /// Blocking operations (finish_end, future get) "help while waiting": the
-/// blocked worker drains its own deque and steals from others until its
-/// condition holds.
+/// blocked worker takes queued tasks from its own queue and steals from
+/// others until its condition holds. A helped task runs on top of the
+/// blocked frame, which cannot resume until it returns, so a blocked wait
+/// helps only tasks that run entirely before its own position in the serial
+/// depth-first order. Such a task never waits on anything the blocked frame
+/// (or a later task) still has to do, because the program is deadlock-free
+/// under serial DFS; without the rule a frame could help a later task that
+/// waits on the frame's own continuation and deadlock on one stack. The
+/// DFS-earliest queued task is eligible for every blocked wait, so some
+/// worker can always run it.
 ///
 /// Failure model (see DESIGN.md "Failure model"):
 ///  - Task exceptions are captured per finish scope, first-exception-wins;
@@ -37,7 +45,9 @@
 ///  - The destructor asserts that no task was leaked: everything spawned was
 ///    either executed or accounted for as discarded at shutdown.
 
+#include <array>
 #include <chrono>
+#include <deque>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -46,7 +56,6 @@
 #include "engines.hpp"
 #include "futrace/inject/hooks.hpp"
 #include "futrace/runtime/parallel_sink.hpp"
-#include "futrace/runtime/ws_deque.hpp"
 #include "futrace/support/assert.hpp"
 #include "futrace/support/reentry.hpp"
 
@@ -116,7 +125,7 @@ class parallel_engine final : public engine {
 
   void parallel_spawn(std::function<void()> body,
                       future_state_base* produces) override {
-    // Engine-internal allocations (the ptask, deque growth) are not program
+    // Engine-internal allocations (the ptask, queue growth) are not program
     // heap traffic; the guard keeps them out of the heap hooks. The child's
     // body runs later, outside any guard.
     reentry_scope reentry;
@@ -128,7 +137,7 @@ class parallel_engine final : public engine {
     if (produces != nullptr) {
       produces->task.store(id, std::memory_order_relaxed);
     }
-    // The spawn event must precede the deque publish: once the child is
+    // The spawn event must precede the queue publish: once the child is
     // stealable its events may hit the sink from another worker, and the
     // replayer descends into the child only after seeing this spawn.
     if (sink_ != nullptr) {
@@ -136,10 +145,14 @@ class parallel_engine final : public engine {
                         produces != nullptr ? task_kind::future
                                             : task_kind::async);
     }
-    auto* pt = new ptask{std::move(body), t.current_finish, id};
+    auto* pt = new ptask(std::move(body), t.current_finish, id, t.record,
+                         ++t.spawned);
+    if (t.record != nullptr) {
+      t.record->refs.fetch_add(1, std::memory_order_relaxed);
+    }
     pt->ief->pending.fetch_add(1, std::memory_order_relaxed);
     live_tasks_.fetch_add(1, std::memory_order_relaxed);
-    workers_[t.index]->deque.push(pt);
+    workers_[t.index]->queue.push(pt);
   }
 
   void finish_begin() override {
@@ -167,8 +180,9 @@ class parallel_engine final : public engine {
                        wait_record{t.task, k_invalid_task, "finish scope",
                                    &frame->pending});
       stall_clock clock(deadlock_timeout_ * 3);
+      dfs_point here(t.record, t.spawned);
       while (frame->pending.load(std::memory_order_acquire) != 0) {
-        if (!try_help() && clock.expired()) {
+        if (!try_help(&here) && clock.expired()) {
           abandoned_frames_.fetch_add(1, std::memory_order_relaxed);
           throw deadlock_error(describe_stall(
               t.index, t.task,
@@ -279,14 +293,152 @@ class parallel_engine final : public engine {
     }
   };
 
+  /// A spawned task. Besides the body it records the task's place in the
+  /// serial depth-first order — its spawn ordinal under each ancestor, read
+  /// through the parent chain — written once at spawn and immutable after,
+  /// so any worker may read it. The record outlives the task's run while
+  /// its children's records still chain through it.
   struct ptask {
+    ptask(std::function<void()> b, pfinish* f, task_id i, ptask* p,
+          std::uint32_t o)
+        : body(std::move(b)), ief(f), id(i), parent(p), ordinal(o),
+          depth(p == nullptr ? 1 : p->depth + 1) {}
+
     std::function<void()> body;
     pfinish* ief;
     task_id id;
+    ptask* const parent;          // the spawning task; nullptr for main
+    const std::uint32_t ordinal;  // 1-based spawn index within the parent
+    const std::uint32_t depth;    // main is depth 0, its children depth 1
+    std::atomic<std::uint32_t> refs{1};  // the task itself + one per child
+  };
+
+  static constexpr unsigned k_tracked_queues = 64;
+
+  /// What a blocked wait may help: tasks that run before its point — task
+  /// `task` after its first `spawned` spawns; `task` nullptr is main. Also
+  /// remembers, per worker queue, the queue version at which this wait last
+  /// found nothing it may run there, so a spinning wait rescans (and takes
+  /// the queue's lock) only after the queue changed.
+  struct dfs_point {
+    dfs_point(const ptask* t, std::uint32_t s) : task(t), spawned(s) {
+      passed.fill(~std::uint64_t{0});
+    }
+
+    const ptask* task;
+    std::uint32_t spawned;
+    std::array<std::uint64_t, k_tracked_queues> passed;
+  };
+
+  /// True when `y`, a task that has not started, runs entirely before point
+  /// `p` in the serial depth-first order. Compares spawn paths: y lies
+  /// before p iff, at the first level where the paths part, y's branch was
+  /// spawned first (below p's own task, "first" means within p's `spawned`).
+  static bool runs_before(const ptask* y, const dfs_point& p) {
+    const ptask* x = p.task;
+    const std::uint32_t x_depth = x == nullptr ? 0 : x->depth;
+    while (y->depth > x_depth + 1) y = y->parent;
+    if (y->depth == x_depth + 1) {
+      if (y->parent == x) return y->ordinal <= p.spawned;
+      y = y->parent;
+    }
+    // An unstarted y has no descendants, so y's line and x's part below
+    // some common ancestor; climb to the children of that ancestor.
+    while (x->depth > y->depth) x = x->parent;
+    while (y->parent != x->parent) {
+      y = y->parent;
+      x = x->parent;
+    }
+    return y->ordinal < x->ordinal;
+  }
+
+  /// Drops one reference to `pt`, deleting every record on its parent chain
+  /// that no longer has a running task or a child record behind it.
+  static void release(ptask* pt) {
+    while (pt != nullptr &&
+           pt->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      ptask* parent = pt->parent;
+      delete pt;
+      pt = parent;
+    }
+  }
+
+  /// One worker's spawned, not-yet-started tasks. The owner pushes and takes
+  /// at the back (newest first); thieves take at the front (oldest first).
+  /// A lock rather than a lock-free Chase–Lev deque: a blocked wait must be
+  /// able to pass over the tasks it may not run and take one from the
+  /// middle. Thieves only try the lock, so a busy queue sends them on to the
+  /// next victim instead of queueing them behind its owner.
+  class task_queue {
+   public:
+    void push(ptask* pt) {
+      lock();
+      tasks_.push_back(pt);
+      changed();
+      unlock();
+    }
+
+    /// Takes the first task, searching from the back for the owner and from
+    /// the front for a thief, that runs before `bound` (any task when
+    /// `bound` is nullptr). nullptr when there is none or, for a thief, when
+    /// the lock is busy. `slot` is this queue's index in `bound->passed`.
+    ptask* take(bool owner, dfs_point* bound, unsigned slot) {
+      if (size_.load(std::memory_order_relaxed) == 0) return nullptr;
+      const bool tracked = bound != nullptr && slot < k_tracked_queues;
+      if (tracked &&
+          bound->passed[slot] == version_.load(std::memory_order_relaxed)) {
+        return nullptr;
+      }
+      if (owner) {
+        lock();
+      } else if (locked_.exchange(true, std::memory_order_acquire)) {
+        return nullptr;
+      }
+      ptask* found = nullptr;
+      const std::size_t n = tasks_.size();
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = owner ? n - 1 - k : k;
+        if (bound == nullptr || runs_before(tasks_[i], *bound)) {
+          found = tasks_[i];
+          tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(i));
+          changed();
+          break;
+        }
+      }
+      if (found == nullptr && tracked) {
+        bound->passed[slot] = version_.load(std::memory_order_relaxed);
+      }
+      unlock();
+      return found;
+    }
+
+   private:
+    void lock() {
+      for (unsigned spins = 0;
+           locked_.exchange(true, std::memory_order_acquire);) {
+        while (locked_.load(std::memory_order_relaxed)) {
+          if (++spins > 64) std::this_thread::yield();
+        }
+      }
+    }
+    void unlock() { locked_.store(false, std::memory_order_release); }
+
+    void changed() {
+      size_.store(tasks_.size(), std::memory_order_relaxed);
+      version_.store(version_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
+    }
+
+    std::atomic<bool> locked_{false};
+    // Read unlocked, as hints: an empty queue, or one unchanged since a
+    // wait last found nothing there, is skipped without taking the lock.
+    std::atomic<std::size_t> size_{0};
+    std::atomic<std::uint64_t> version_{0};
+    std::deque<ptask*> tasks_;
   };
 
   struct worker {
-    ws_deque<ptask*> deque;
+    task_queue queue;
     std::thread thread;
   };
 
@@ -295,6 +447,8 @@ class parallel_engine final : public engine {
     unsigned index = 0;
     pfinish* current_finish = nullptr;
     task_id task = k_invalid_task;  // task currently executing on this thread
+    ptask* record = nullptr;        // its record; nullptr for main
+    std::uint32_t spawned = 0;      // spawns it has made so far
   };
 
   /// One blocked wait, published so the watchdog can dump the wait graph.
@@ -368,8 +522,9 @@ class parallel_engine final : public engine {
                                    state.task.load(std::memory_order_relaxed),
                                    what, nullptr});
       stall_clock clock(deadlock_timeout_);
+      dfs_point here(t.record, t.spawned);
       while (!state.settled()) {
-        if (!try_help() && clock.expired()) {
+        if (!try_help(&here) && clock.expired()) {
           std::ostringstream headline;
           headline << what << " never completed: the program has a cyclic "
                    << "future/promise dependence (deadlock, paper Appendix A) "
@@ -459,7 +614,7 @@ class parallel_engine final : public engine {
     // through the ambient context; instrumentation is on iff a sink listens.
     ctx() = context{this, sink_ != nullptr};
     while (!done_.load(std::memory_order_acquire)) {
-      if (!try_help()) {
+      if (!try_help(nullptr)) {
         // Brief backoff; stealing is retried immediately after.
         std::this_thread::yield();
       }
@@ -468,11 +623,14 @@ class parallel_engine final : public engine {
     tls_ = tl_state{};
   }
 
-  bool try_help() {
+  /// Runs one queued task, if there is one this thread may run: any task
+  /// from the idle loop (`bound` nullptr), only tasks that run before
+  /// `bound` from a blocked wait.
+  bool try_help(dfs_point* bound) {
     tl_state& t = tls_;
     if (inject::yield_site()) std::this_thread::yield();
-    if (auto pt = workers_[t.index]->deque.pop()) {
-      run_task(*pt);
+    if (ptask* pt = workers_[t.index]->queue.take(true, bound, t.index)) {
+      run_task(pt);
       return true;
     }
     // Steal sweep starting from a pseudo-random victim (perturbable by the
@@ -482,8 +640,8 @@ class parallel_engine final : public engine {
     for (unsigned k = 0; k < worker_count_; ++k) {
       const unsigned victim = (start + k) % worker_count_;
       if (victim == t.index) continue;
-      if (auto pt = workers_[victim]->deque.steal()) {
-        run_task(*pt);
+      if (ptask* pt = workers_[victim]->queue.take(false, bound, victim)) {
+        run_task(pt);
         return true;
       }
     }
@@ -494,8 +652,12 @@ class parallel_engine final : public engine {
     tl_state& t = tls_;
     pfinish* saved_finish = t.current_finish;
     const task_id saved_task = t.task;
+    ptask* saved_record = t.record;
+    const std::uint32_t saved_spawned = t.spawned;
     t.current_finish = pt->ief;
     t.task = pt->id;
+    t.record = pt;
+    t.spawned = 0;
     try {
       pt->body();
     } catch (...) {
@@ -504,16 +666,19 @@ class parallel_engine final : public engine {
     // task_end is emitted even for a failed body so the stream stays
     // balanced per task; it precedes the identity restore (and the pending
     // decrement) so it lands in this pid's stream before the enclosing
-    // finish can observe the join. The guard covers the ptask delete too:
-    // user captures destroyed there may free tracked blocks, and those
+    // finish can observe the join. The guard covers destroying the body
+    // too: user captures destroyed there may free tracked blocks, and those
     // retires must take the hooks' deferred path (no task identity is
     // executing once the restore below runs).
     reentry_scope reentry;
     if (sink_ != nullptr) sink_->emit_task_end(t.index, pt->id);
     t.current_finish = saved_finish;
     t.task = saved_task;
+    t.record = saved_record;
+    t.spawned = saved_spawned;
     pt->ief->pending.fetch_sub(1, std::memory_order_release);
-    delete pt;
+    pt->body = nullptr;
+    release(pt);
     live_tasks_.fetch_sub(1, std::memory_order_release);
   }
 
@@ -522,13 +687,13 @@ class parallel_engine final : public engine {
     for (auto& w : workers_) {
       if (w->thread.joinable()) w->thread.join();
     }
-    // After an abandoned finish the deques may still hold never-run tasks.
+    // After an abandoned finish the queues may still hold never-run tasks.
     // Discard them with full accounting so the leak assertion in the
     // destructor stays meaningful.
     for (auto& w : workers_) {
-      while (auto pt = w->deque.pop()) {
-        (*pt)->ief->pending.fetch_sub(1, std::memory_order_release);
-        delete *pt;
+      while (ptask* pt = w->queue.take(true, nullptr, 0)) {
+        pt->ief->pending.fetch_sub(1, std::memory_order_release);
+        release(pt);
         live_tasks_.fetch_sub(1, std::memory_order_release);
         discarded_tasks_.fetch_add(1, std::memory_order_relaxed);
       }

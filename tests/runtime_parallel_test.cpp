@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <numeric>
 #include <thread>
@@ -138,6 +139,38 @@ TEST(ParallelEngine, FutureChainComputesCorrectly) {
     auto c = async_future([b] { return b.get() + 1; });
     EXPECT_EQ(c.get(), 3);
   });
+}
+
+// Each link gets its predecessor, then works for a while; main stays busy,
+// so thieves take the links oldest first. A thief blocked in link k must not
+// help link k+1 on top of itself: that link waits on the blocked k beneath
+// it, and neither can ever return. A blocked wait helps only tasks that
+// precede it in serial depth-first order, so no run of the chain deadlocks
+// (the watchdog would throw deadlock_error).
+TEST(ParallelEngine, FutureChainNeverDeadlocksOnOneWorkersStack) {
+  const auto work = [](std::chrono::microseconds length) {
+    const auto until = std::chrono::steady_clock::now() + length;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  for (int round = 0; round < 10; ++round) {
+    runtime rt({.mode = exec_mode::parallel, .workers = 4,
+                .deadlock_timeout_ms = 2000});
+    rt.run([&] {
+      std::vector<future<int>> chain;
+      chain.push_back(async_future([] { return 0; }));
+      for (int i = 1; i < 32; ++i) {
+        const future<int> prev = chain.back();
+        chain.push_back(async_future([prev, work] {
+          const int v = prev.get() + 1;
+          work(std::chrono::microseconds(50));
+          return v;
+        }));
+      }
+      work(std::chrono::milliseconds(5));
+      EXPECT_EQ(chain.back().get(), 31);
+    });
+  }
 }
 
 TEST(ParallelEngine, ManyFuturesFanIn) {
