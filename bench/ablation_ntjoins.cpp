@@ -133,9 +133,6 @@ int main(int argc, char** argv) {
               "path for --json output")
       .define("no-fastpath", "false",
               "disable the direct/memo/stamp fast paths")
-      .define("precede-backend", "graph",
-              "PRECEDE backend: graph, depa, vc, or all (one sweep per "
-              "backend; every JSON row carries its backend)")
       .define("trace", "",
               "write a Chrome trace-event JSON of each detected run to this "
               "path (runs overwrite; the file holds the last sweep point)");
@@ -146,194 +143,162 @@ int main(int argc, char** argv) {
   opts.enable_fastpath = !flags.get_bool("no-fastpath");
   opts.trace_path = flags.get_string("trace");
 
-  const std::string backend_flag = flags.get_string("precede-backend");
-  std::vector<dsr::backend_kind> backends;
-  if (backend_flag == "all") {
-    backends = {dsr::backend_kind::graph, dsr::backend_kind::depa,
-                dsr::backend_kind::vector_clock};
-  } else {
-    dsr::backend_kind kind;
-    if (!dsr::parse_backend_kind(backend_flag, &kind)) {
-      std::fprintf(stderr,
-                   "unknown --precede-backend '%s' (graph, depa, vc, all)\n",
-                   backend_flag.c_str());
-      return 2;
-    }
-    backends = {kind};
-  }
-
   using support::json;
   json doc = json::object();
   doc["bench"] = "ablation_ntjoins";
   doc["tasks"] = static_cast<std::uint64_t>(tasks);
   doc["accesses"] = static_cast<std::uint64_t>(accesses);
   doc["fastpath"] = opts.enable_fastpath;
-  doc["backend"] = backend_flag;
   json sweep_nt = json::array();
   json sweep_hop = json::array();
   json sweep_readers = json::array();
   json sweep_jacobi = json::array();
 
-  for (const dsr::backend_kind backend : backends) {
-    opts.precede_backend = backend;
-    const char* bname = dsr::backend_kind_name(backend);
-    if (backends.size() > 1) {
-      std::printf("==== PRECEDE backend: %s ====\n\n", bname);
+  {
+    text_table table({"#NTJoins", "#SharedMem", "Time(ms)",
+                      "PrecedeQueries", "NtEdges/query",
+                      "VisitSteps/query"});
+    for (const std::size_t n : {0ul, 500ul, 1000ul, 2000ul, 4000ul}) {
+      // Constant total work: n chained future tasks plus (tasks - n)
+      // independent ones.
+      const std::size_t chain = n == 0 ? 1 : n;
+      run_stats s = run_detected(opts, [&] {
+        chain_workload(chain, 1, accesses * tasks / chain);
+      });
+      table.add_row(
+          {text_table::with_commas(s.counters.non_tree_joins),
+           text_table::with_commas(s.counters.shared_mem_accesses),
+           text_table::fixed(s.ms, 1),
+           text_table::with_commas(s.reach.precede_queries),
+           text_table::fixed(
+               per_query(s.reach.nt_edges_walked, s.reach.precede_queries),
+               2),
+           text_table::fixed(
+               per_query(s.reach.visit_steps, s.reach.precede_queries),
+               2)});
+      json row = json::object();
+      row["nt_joins"] = s.counters.non_tree_joins;
+      row["shared_mem_accesses"] = s.counters.shared_mem_accesses;
+      row["time_ms"] = s.ms;
+      row["precede_queries"] = s.reach.precede_queries;
+      row["nt_edges_per_query"] =
+          per_query(s.reach.nt_edges_walked, s.reach.precede_queries);
+      row["visit_steps_per_query"] =
+          per_query(s.reach.visit_steps, s.reach.precede_queries);
+      row["label_comparisons_per_query"] =
+          per_query(s.reach.label_comparisons, s.reach.precede_queries);
+      row["frontier_searches_per_query"] =
+          per_query(s.reach.frontier_searches, s.reach.precede_queries);
+      row["counters"] = obs::counters_json(s.counters);
+      sweep_nt.push_back(row);
     }
+    std::printf("(a) Sweep of non-tree join count at constant shared-memory "
+                "traffic (paper §5: NT joins do not dominate)\n\n");
+    std::fputs(table.render().c_str(), stdout);
+  }
 
-    {
-      text_table table({"#NTJoins", "#SharedMem", "Time(ms)",
-                        "PrecedeQueries", "NtEdges/query",
-                        "VisitSteps/query"});
-      for (const std::size_t n : {0ul, 500ul, 1000ul, 2000ul, 4000ul}) {
-        // Constant total work: n chained future tasks plus (tasks - n)
-        // independent ones.
-        const std::size_t chain = n == 0 ? 1 : n;
-        run_stats s = run_detected(opts, [&] {
-          chain_workload(chain, 1, accesses * tasks / chain);
-        });
-        table.add_row(
-            {text_table::with_commas(s.counters.non_tree_joins),
-             text_table::with_commas(s.counters.shared_mem_accesses),
-             text_table::fixed(s.ms, 1),
-             text_table::with_commas(s.reach.precede_queries),
-             text_table::fixed(
-                 per_query(s.reach.nt_edges_walked, s.reach.precede_queries),
-                 2),
-             text_table::fixed(
-                 per_query(s.reach.visit_steps, s.reach.precede_queries),
-                 2)});
-        json row = json::object();
-        row["backend"] = bname;
-        row["nt_joins"] = s.counters.non_tree_joins;
-        row["shared_mem_accesses"] = s.counters.shared_mem_accesses;
-        row["time_ms"] = s.ms;
-        row["precede_queries"] = s.reach.precede_queries;
-        row["nt_edges_per_query"] =
-            per_query(s.reach.nt_edges_walked, s.reach.precede_queries);
-        row["visit_steps_per_query"] =
-            per_query(s.reach.visit_steps, s.reach.precede_queries);
-        row["label_bytes"] = s.reach.label_bytes;
-        row["label_comparisons_per_query"] =
-            per_query(s.reach.label_comparisons, s.reach.precede_queries);
-        row["frontier_searches_per_query"] =
-            per_query(s.reach.frontier_searches, s.reach.precede_queries);
-        row["counters"] = obs::counters_json(s.counters);
-        sweep_nt.push_back(row);
-      }
-      std::printf("(a) Sweep of non-tree join count at constant shared-memory "
-                  "traffic (paper §5: NT joins do not dominate)\n\n");
-      std::fputs(table.render().c_str(), stdout);
+  {
+    text_table table({"HopDistance", "Time(ms)", "NtEdges/query",
+                      "VisitSteps/query", "Frontier/query"});
+    for (const std::size_t hop : {1ul, 2ul, 4ul, 16ul, 64ul, 256ul}) {
+      run_stats s = run_detected(
+          opts, [&] { chain_read_back_workload(tasks, hop, accesses); });
+      table.add_row(
+          {std::to_string(hop), text_table::fixed(s.ms, 1),
+           text_table::fixed(
+               per_query(s.reach.nt_edges_walked, s.reach.precede_queries),
+               2),
+           text_table::fixed(
+               per_query(s.reach.visit_steps, s.reach.precede_queries), 2),
+           text_table::fixed(per_query(s.reach.frontier_searches,
+                                       s.reach.precede_queries),
+                             2)});
+      json row = json::object();
+      row["hop_distance"] = static_cast<std::uint64_t>(hop);
+      row["time_ms"] = s.ms;
+      row["nt_edges_per_query"] =
+          per_query(s.reach.nt_edges_walked, s.reach.precede_queries);
+      row["visit_steps_per_query"] =
+          per_query(s.reach.visit_steps, s.reach.precede_queries);
+      row["label_comparisons_per_query"] =
+          per_query(s.reach.label_comparisons, s.reach.precede_queries);
+      row["frontier_searches_per_query"] =
+          per_query(s.reach.frontier_searches, s.reach.precede_queries);
+      row["counters"] = obs::counters_json(s.counters);
+      sweep_hop.push_back(row);
     }
+    std::printf("\n(b) Sweep of producer-consumer hop distance (paper §5: "
+                "benchmarks need 1-2 hops; cost grows with distance)\n\n");
+    std::fputs(table.render().c_str(), stdout);
+  }
 
-    {
-      text_table table({"HopDistance", "Time(ms)", "NtEdges/query",
-                        "VisitSteps/query", "Frontier/query"});
-      for (const std::size_t hop : {1ul, 2ul, 4ul, 16ul, 64ul, 256ul}) {
-        run_stats s = run_detected(
-            opts, [&] { chain_read_back_workload(tasks, hop, accesses); });
-        table.add_row(
-            {std::to_string(hop), text_table::fixed(s.ms, 1),
-             text_table::fixed(
-                 per_query(s.reach.nt_edges_walked, s.reach.precede_queries),
-                 2),
-             text_table::fixed(
-                 per_query(s.reach.visit_steps, s.reach.precede_queries), 2),
-             text_table::fixed(per_query(s.reach.frontier_searches,
-                                         s.reach.precede_queries),
-                               2)});
-        json row = json::object();
-        row["backend"] = bname;
-        row["hop_distance"] = static_cast<std::uint64_t>(hop);
-        row["time_ms"] = s.ms;
-        row["nt_edges_per_query"] =
-            per_query(s.reach.nt_edges_walked, s.reach.precede_queries);
-        row["visit_steps_per_query"] =
-            per_query(s.reach.visit_steps, s.reach.precede_queries);
-        row["label_bytes"] = s.reach.label_bytes;
-        row["label_comparisons_per_query"] =
-            per_query(s.reach.label_comparisons, s.reach.precede_queries);
-        row["frontier_searches_per_query"] =
-            per_query(s.reach.frontier_searches, s.reach.precede_queries);
-        row["counters"] = obs::counters_json(s.counters);
-        sweep_hop.push_back(row);
-      }
-      std::printf("\n(b) Sweep of producer-consumer hop distance (paper §5: "
-                  "benchmarks need 1-2 hops; cost grows with distance)\n\n");
-      std::fputs(table.render().c_str(), stdout);
+  {
+    text_table table({"FutureReaders", "#AvgReaders", "Time(ms)",
+                      "PrecedeQueries"});
+    for (const std::size_t readers : {1ul, 2ul, 4ul, 8ul, 16ul, 32ul}) {
+      run_stats s = run_detected(opts, [&] {
+        reader_fanout_workload(readers, 3000 / readers);
+      });
+      table.add_row({std::to_string(readers),
+                     text_table::fixed(s.counters.avg_readers, 2),
+                     text_table::fixed(s.ms, 1),
+                     text_table::with_commas(s.reach.precede_queries)});
+      json row = json::object();
+      row["future_readers"] = static_cast<std::uint64_t>(readers);
+      row["avg_readers"] = s.counters.avg_readers;
+      row["time_ms"] = s.ms;
+      row["precede_queries"] = s.reach.precede_queries;
+      row["counters"] = obs::counters_json(s.counters);
+      sweep_readers.push_back(row);
     }
+    std::printf("\n(c) Sweep of parallel future readers per location (the "
+                "v*(f+1) term of Theorem 1)\n\n");
+    std::fputs(table.render().c_str(), stdout);
+  }
 
-    {
-      text_table table({"FutureReaders", "#AvgReaders", "Time(ms)",
-                        "PrecedeQueries"});
-      for (const std::size_t readers : {1ul, 2ul, 4ul, 8ul, 16ul, 32ul}) {
-        run_stats s = run_detected(opts, [&] {
-          reader_fanout_workload(readers, 3000 / readers);
-        });
-        table.add_row({std::to_string(readers),
-                       text_table::fixed(s.counters.avg_readers, 2),
-                       text_table::fixed(s.ms, 1),
-                       text_table::with_commas(s.reach.precede_queries)});
-        json row = json::object();
-        row["backend"] = bname;
-        row["future_readers"] = static_cast<std::uint64_t>(readers);
-        row["avg_readers"] = s.counters.avg_readers;
-        row["time_ms"] = s.ms;
-        row["precede_queries"] = s.reach.precede_queries;
-        row["counters"] = obs::counters_json(s.counters);
-        sweep_readers.push_back(row);
+  {
+    // (d) Jacobi with a residual convergence window: a real stencil
+    // workload whose extra reads force transitive non-tree queries up to
+    // `window` hops deep (single tile, so the per-iteration chain is the
+    // only ordering path). This is the Jacobi configuration where the
+    // PRECEDE search dominates time-to-verdict.
+    text_table table({"ResidualWindow", "Time(ms)", "PrecedeQueries",
+                      "NtEdges/query", "VisitSteps/query"});
+    for (const std::size_t win : {0ul, 16ul, 64ul, 256ul}) {
+      workloads::jacobi_workload w(workloads::jacobi_config{
+          .n = 34, .tile = 32, .iterations = 400, .residual_window = win});
+      run_stats s = run_detected(opts, [&] { w(); });
+      if (!w.verify()) {
+        std::fprintf(stderr, "jacobi residual sweep failed verification\n");
+        return 1;
       }
-      std::printf("\n(c) Sweep of parallel future readers per location (the "
-                  "v*(f+1) term of Theorem 1)\n\n");
-      std::fputs(table.render().c_str(), stdout);
+      table.add_row(
+          {std::to_string(win), text_table::fixed(s.ms, 1),
+           text_table::with_commas(s.reach.precede_queries),
+           text_table::fixed(
+               per_query(s.reach.nt_edges_walked, s.reach.precede_queries),
+               2),
+           text_table::fixed(
+               per_query(s.reach.visit_steps, s.reach.precede_queries),
+               2)});
+      json row = json::object();
+      row["residual_window"] = static_cast<std::uint64_t>(win);
+      row["time_ms"] = s.ms;
+      row["precede_queries"] = s.reach.precede_queries;
+      row["nt_edges_per_query"] =
+          per_query(s.reach.nt_edges_walked, s.reach.precede_queries);
+      row["visit_steps_per_query"] =
+          per_query(s.reach.visit_steps, s.reach.precede_queries);
+      row["label_comparisons_per_query"] =
+          per_query(s.reach.label_comparisons, s.reach.precede_queries);
+      row["frontier_searches_per_query"] =
+          per_query(s.reach.frontier_searches, s.reach.precede_queries);
+      row["counters"] = obs::counters_json(s.counters);
+      sweep_jacobi.push_back(row);
     }
-
-    {
-      // (d) Jacobi with a residual convergence window: a real stencil
-      // workload whose extra reads force transitive non-tree queries up to
-      // `window` hops deep (single tile, so the per-iteration chain is the
-      // only ordering path). This is the Jacobi configuration where the
-      // PRECEDE backend dominates time-to-verdict.
-      text_table table({"ResidualWindow", "Time(ms)", "PrecedeQueries",
-                        "NtEdges/query", "VisitSteps/query"});
-      for (const std::size_t win : {0ul, 16ul, 64ul, 256ul}) {
-        workloads::jacobi_workload w(workloads::jacobi_config{
-            .n = 34, .tile = 32, .iterations = 400, .residual_window = win});
-        run_stats s = run_detected(opts, [&] { w(); });
-        if (!w.verify()) {
-          std::fprintf(stderr, "jacobi residual sweep failed verification\n");
-          return 1;
-        }
-        table.add_row(
-            {std::to_string(win), text_table::fixed(s.ms, 1),
-             text_table::with_commas(s.reach.precede_queries),
-             text_table::fixed(
-                 per_query(s.reach.nt_edges_walked, s.reach.precede_queries),
-                 2),
-             text_table::fixed(
-                 per_query(s.reach.visit_steps, s.reach.precede_queries),
-                 2)});
-        json row = json::object();
-        row["backend"] = bname;
-        row["residual_window"] = static_cast<std::uint64_t>(win);
-        row["time_ms"] = s.ms;
-        row["precede_queries"] = s.reach.precede_queries;
-        row["nt_edges_per_query"] =
-            per_query(s.reach.nt_edges_walked, s.reach.precede_queries);
-        row["visit_steps_per_query"] =
-            per_query(s.reach.visit_steps, s.reach.precede_queries);
-        row["label_bytes"] = s.reach.label_bytes;
-        row["label_comparisons_per_query"] =
-            per_query(s.reach.label_comparisons, s.reach.precede_queries);
-        row["frontier_searches_per_query"] =
-            per_query(s.reach.frontier_searches, s.reach.precede_queries);
-        row["counters"] = obs::counters_json(s.counters);
-        sweep_jacobi.push_back(row);
-      }
-      std::printf("\n(d) Jacobi with a residual convergence window (deep "
-                  "transitive non-tree queries on a real stencil)\n\n");
-      std::fputs(table.render().c_str(), stdout);
-    }
+    std::printf("\n(d) Jacobi with a residual convergence window (deep "
+                "transitive non-tree queries on a real stencil)\n\n");
+    std::fputs(table.render().c_str(), stdout);
   }
 
   if (flags.get_bool("json")) {

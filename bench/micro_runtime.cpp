@@ -1,5 +1,5 @@
 // Micro-benchmarks for the runtime substrate: construct overheads in each
-// execution mode and the work-stealing deque.
+// execution mode and the SPSC detection ring.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 
 #include "futrace/detect/race_detector.hpp"
 #include "futrace/runtime/runtime.hpp"
-#include "futrace/runtime/ws_deque.hpp"
 #include "futrace/support/spsc_ring.hpp"
 
 namespace {
@@ -143,66 +142,8 @@ void BM_PromisePutGetParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_PromisePutGetParallel);
 
-void BM_WsDequePushPop(benchmark::State& state) {
-  ws_deque<int*> dq;
-  int value = 0;
-  for (auto _ : state) {
-    dq.push(&value);
-    benchmark::DoNotOptimize(dq.pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_WsDequePushPop);
-
-void BM_WsDequeStealUncontended(benchmark::State& state) {
-  ws_deque<int*> dq;
-  int value = 0;
-  for (auto _ : state) {
-    dq.push(&value);
-    benchmark::DoNotOptimize(dq.steal());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_WsDequeStealUncontended);
-
-// Cross-thread steal throughput: the owner refills the deque in batches
-// (paced by an atomic credit so it never runs unboundedly ahead), a bench
-// thread steals continuously. Items processed counts successful steals.
-void BM_WsStealThroughput(benchmark::State& state) {
-  constexpr int kBatch = 1024;
-  ws_deque<int*> dq;
-  int value = 0;
-  std::atomic<int> credits{0};
-  std::atomic<bool> stop{false};
-  std::thread owner([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      if (credits.load(std::memory_order_acquire) > 0) {
-        credits.fetch_sub(1, std::memory_order_acq_rel);
-        for (int i = 0; i < kBatch; ++i) dq.push(&value);
-      }
-    }
-  });
-  std::uint64_t stolen = 0;
-  for (auto _ : state) {
-    credits.fetch_add(1, std::memory_order_acq_rel);
-    int got = 0;
-    while (got < kBatch) {
-      if (dq.steal()) {
-        ++got;
-      }
-    }
-    stolen += got;
-  }
-  stop.store(true, std::memory_order_release);
-  owner.join();
-  while (dq.steal()) {
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(stolen));
-}
-BENCHMARK(BM_WsStealThroughput)->UseRealTime();
-
 // Per-spawn overhead on the live work-stealing engine at 4 workers: the
-// parallel fork path (deque push + wakeup), amortizing pool construction
+// parallel fork path (queue push + wakeup), amortizing pool construction
 // over kTasksPerRun spawns. This is the execution baseline the
 // parallel-detect producer hot path adds its ring pushes on top of.
 void BM_ParallelSpawnOverhead(benchmark::State& state) {

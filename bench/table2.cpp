@@ -84,7 +84,6 @@ struct bench_config {
   unsigned detect_threads = 0;  // 0 = inline detector, N = pipelined
   bool exec_parallel = false;   // --exec=parallel-detect
   unsigned workers = 4;         // --threads: engine workers in parallel mode
-  futrace::dsr::backend_kind backend = futrace::dsr::backend_kind::graph;
   std::string trace_path;       // --trace=FILE: Chrome trace of the last rep
   // --structure: reachability-structure ownership in parallel-detect mode.
   futrace::detect::structure_mode structure =
@@ -117,7 +116,6 @@ row_result run_row(const std::string& name, Make make,
   det_opts.enable_fastpath = cfg.fastpath;
   det_opts.enable_range_checks = cfg.ranges;
   det_opts.detect_threads = cfg.detect_threads;
-  det_opts.precede_backend = cfg.backend;
   det_opts.instrument_heap = cfg.instrument_heap;
   row.pipe_mode = cfg.detect_threads > 0;
   row.parallel_mode = cfg.exec_parallel;
@@ -277,9 +275,6 @@ int main(int argc, char** argv) {
               "parallel-detect reachability-structure ownership: replicated "
               "(per-checker graph replicas) or shared (one graph behind a "
               "single-writer structure thread; W× less structure CPU/RSS)")
-      .define("precede-backend", "graph",
-              "PRECEDE backend: graph (paper search), depa (fork-path "
-              "labels), vc (vector clocks)")
       .define("trace", "",
               "write a Chrome trace-event JSON (Perfetto-loadable) of each "
               "row's final timed repetition to this path; rows overwrite, "
@@ -329,12 +324,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--detect-threads applies to serial execution only; "
                  "parallel-detect shards via its own checkers\n");
-    return 2;
-  }
-  if (!futrace::dsr::parse_backend_kind(flags.get_string("precede-backend"),
-                                        &cfg.backend)) {
-    std::fprintf(stderr, "unknown --precede-backend '%s' (graph, depa, vc)\n",
-                 flags.get_string("precede-backend").c_str());
     return 2;
   }
   cfg.trace_path = flags.get_string("trace");
@@ -454,12 +443,11 @@ int main(int argc, char** argv) {
   }
   std::printf("Table 2 — determinacy race detection overhead "
               "(scale=%zu, repeats=%d, fastpath=%s, ranges=%s, exec=%s, "
-              "threads=%u, detect-threads=%u, backend=%s)\n\n",
+              "threads=%u, detect-threads=%u)\n\n",
               scale, cfg.repeats, cfg.fastpath ? "on" : "off",
               cfg.ranges ? "on" : "off",
               cfg.exec_parallel ? "parallel-detect" : "serial",
-              cfg.exec_parallel ? cfg.workers : 0, cfg.detect_threads,
-              futrace::dsr::backend_kind_name(cfg.backend));
+              cfg.exec_parallel ? cfg.workers : 0, cfg.detect_threads);
   std::fputs(table.render().c_str(), stdout);
   std::printf(
       "\nPaper rows used JGF Size C / 2048x2048 / 10000x10000 / 1024x1024 "
@@ -497,7 +485,6 @@ int main(int argc, char** argv) {
               ? "shared"
               : "replicated";
     }
-    doc["backend"] = futrace::dsr::backend_kind_name(cfg.backend);
     if (instrument_heap) {
       // Allocation counts vary with libc/STL versions, so bench_diff must
       // treat this sub-object as advisory, never equality-gated.
@@ -513,11 +500,7 @@ int main(int argc, char** argv) {
       doc["heap"] = heap;
     }
     json row_array = json::array();
-    for (const row_result& r : rows) {
-      json row = row_to_json(r);
-      row["backend"] = futrace::dsr::backend_kind_name(cfg.backend);
-      row_array.push_back(row);
-    }
+    for (const row_result& r : rows) row_array.push_back(row_to_json(r));
     doc["rows"] = row_array;
     std::ofstream out(json_path);
     if (!out) {

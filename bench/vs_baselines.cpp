@@ -61,8 +61,6 @@ int main(int argc, char** argv) {
       .define("json-out", "BENCH_vs_baselines.json", "path for --json output")
       .define("no-fastpath", "false",
               "disable the direct/memo/stamp fast paths")
-      .define("precede-backend", "graph",
-              "PRECEDE backend for 'ours' rows: graph, depa, vc")
       .define("trace", "",
               "write a Chrome trace-event JSON of the final repetition of "
               "each part-2 'ours' run to this path (rows overwrite)");
@@ -72,14 +70,6 @@ int main(int argc, char** argv) {
   const std::string trace_path = flags.get_string("trace");
   futrace::detect::race_detector::options det_opts;
   det_opts.enable_fastpath = !flags.get_bool("no-fastpath");
-  if (!futrace::dsr::parse_backend_kind(flags.get_string("precede-backend"),
-                                        &det_opts.precede_backend)) {
-    std::fprintf(stderr, "unknown --precede-backend '%s' (graph, depa, vc)\n",
-                 flags.get_string("precede-backend").c_str());
-    return 2;
-  }
-  const char* backend_name =
-      futrace::dsr::backend_kind_name(det_opts.precede_backend);
 
   using namespace futrace::workloads;
   using futrace::support::json;
@@ -88,7 +78,6 @@ int main(int argc, char** argv) {
   doc["scale"] = static_cast<std::uint64_t>(scale);
   doc["repeats"] = repeats;
   doc["fastpath"] = det_opts.enable_fastpath;
-  doc["backend"] = backend_name;
   json esp_rows = json::array();
   json vc_rows = json::array();
 
@@ -110,7 +99,6 @@ int main(int argc, char** argv) {
                      text_table::fixed(ours / esp, 2) + "x"});
       json row = json::object();
       row["name"] = name;
-      row["backend"] = backend_name;
       row["ours_ms"] = ours;
       row["esp_bags_ms"] = esp;
       row["ratio"] = esp > 0 ? ours / esp : 0.0;
@@ -174,7 +162,6 @@ int main(int argc, char** argv) {
                      text_table::fixed(vc_ms, 1), mib(clock_mem)});
       json row = json::object();
       row["name"] = name;
-      row["backend"] = backend_name;
       row["tasks"] = tasks;
       row["ours_ms"] = ours_ms;
       row["graph_mem_bytes"] = static_cast<std::uint64_t>(graph_mem);

@@ -51,15 +51,14 @@
 /// meaningful on the execution thread of a serial run).
 ///
 /// structure_mode::shared (DESIGN.md §15) replaces the per-checker graph
-/// replicas with ONE reachability graph + PRECEDE backend owned by a
-/// dedicated single-writer structure thread. Producers route structure
-/// events to that thread alone (P structure rings instead of a P×W
-/// broadcast); it applies them in serial DFS-replay order and publishes a
-/// monotonically increasing *admitted position*. Checkers consume only
-/// access events, each tagged with its per-pid structure ordinal, wait
-/// until the admitted position covers the access's structural
-/// prerequisites, and then issue read-only PRECEDE queries against the
-/// shared graph (lock-free on capable backends, mutex-fallback otherwise).
+/// replicas with ONE reachability graph owned by a dedicated single-writer
+/// structure thread. Producers route structure events to that thread alone
+/// (P structure rings instead of a P×W broadcast); it applies them in
+/// serial DFS-replay order and publishes a monotonically increasing
+/// *admitted position*. Checkers consume only access events, each tagged
+/// with its per-pid structure ordinal, wait until the admitted position
+/// covers the access's structural prerequisites, and then issue PRECEDE
+/// queries against the shared graph under one structure mutex.
 /// The writer applies the next structure event only once every shard has
 /// finished the current run, so readers never observe a partially-applied
 /// structure event and epoch compaction stays writer-side, fenced by the
@@ -111,8 +110,8 @@ enum class structure_mode : std::uint8_t {
   /// replica (the PR-8 design): no cross-checker coordination, W× structure
   /// CPU and graph memory.
   replicated,
-  /// One shared graph + backend behind a single-writer structure thread;
-  /// checkers fence on the admitted position and query read-only
+  /// One shared graph behind a single-writer structure thread; checkers
+  /// fence on the admitted position and query it under a mutex
   /// (DESIGN.md §15). Structure CPU and graph RSS drop to 1×.
   shared,
 };
@@ -188,9 +187,9 @@ class parallel_detector final : public detail::parallel_sink {
   /// Walks every shard's shadow state: computed per call, not at finalize.
   std::size_t memory_bytes() const;
   /// Footprint of the reachability structure(s) alone: the one shared
-  /// graph + backend under structure_mode::shared, or the sum over the W
-  /// checker replicas under replicated — the quantity shared mode
-  /// collapses from W× to 1× (asserted in tests and the CI memory gate).
+  /// graph under structure_mode::shared, or the sum over the W checker
+  /// replicas under replicated — the quantity shared mode collapses from
+  /// W× to 1× (asserted in tests and the CI memory gate).
   std::size_t structure_bytes() const;
   /// Transport fill/backpressure counters in the pipeline's schema (workers
   /// = checker threads); advisory, shared with obs::pipe_json.

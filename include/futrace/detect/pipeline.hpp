@@ -78,8 +78,8 @@ struct pipeline_stats {
   /// Checker spins waiting for the admitted position to cover an access's
   /// structural prerequisites (plus writer spins at the run fence).
   std::uint64_t checker_wait_spins = 0;
-  /// Bytes of the one shared reachability graph + PRECEDE backend — the
-  /// memory that was W-fold under replication.
+  /// Bytes of the one shared reachability graph — the memory that was
+  /// W-fold under replication.
   std::uint64_t shared_graph_bytes = 0;
 
   /// Mean sampled ring occupancy as a percentage of capacity.

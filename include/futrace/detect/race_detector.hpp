@@ -25,7 +25,6 @@
 
 #include "futrace/detect/race_report.hpp"
 #include "futrace/detect/shadow_memory.hpp"
-#include "futrace/dsr/precede_backend.hpp"
 #include "futrace/dsr/reachability_graph.hpp"
 #include "futrace/obs/trace.hpp"
 #include "futrace/runtime/errors.hpp"
@@ -192,11 +191,6 @@ class race_detector final : public execution_observer {
     std::uint64_t error_limit_per_pair = 0;
     /// Global counterpart of error_limit_per_pair. 0 = unlimited.
     std::uint64_t error_limit_global = 0;
-    /// Which PRECEDE answer path serves reachability queries (the
-    /// --precede-backend flag; precede_backend.hpp). Race verdicts, reports,
-    /// and paper counters are bit-identical across backends; only the
-    /// query-cost profile differs.
-    dsr::backend_kind precede_backend = dsr::backend_kind::graph;
     /// Arm the heap-instrumentation hooks (futrace/hook, --instrument-heap)
     /// for the run: every malloc'd block is tracked, and its free fires an
     /// on_region_retire that drops the block's shadow identities. The
@@ -239,9 +233,9 @@ class race_detector final : public execution_observer {
   void set_trace_muted(bool on) noexcept { trace_muted_ = on; }
 
   // -- shared-structure checker mode (parallel_pipeline.hpp) ------------------
-  /// Binds this (checker-side) detector to a structure owner's graph +
-  /// backend (--structure=shared, DESIGN.md §15). The checker then receives
-  /// NO structure events at all: PRECEDE queries, joinability, witness
+  /// Binds this (checker-side) detector to a structure owner's graph
+  /// (--structure=shared, DESIGN.md §15). The checker then receives NO
+  /// structure events at all: PRECEDE queries, joinability, witness
   /// provenance, and graph degradation all route to `owner`, whose mutable
   /// query paths are serialized by `mutex`. The caller guarantees the owner
   /// is quiescent — no structure event mid-application — whenever this
@@ -272,12 +266,6 @@ class race_detector final : public execution_observer {
   /// This shard's PRECEDE query count (shared-structure mode); the merged
   /// PrecedeQueries is the sum over shards, bit-identical to serial.
   std::uint64_t shared_queries() const noexcept { return shared_queries_; }
-
-  /// Shared queries that could not be answered lock-free and fell back to
-  /// the structure mutex (diagnostic; 100% for the graph backend).
-  std::uint64_t shared_lock_fallbacks() const noexcept {
-    return shared_lock_fallbacks_;
-  }
 
   /// Worker-side scalar access entry points: like on_read/on_write with
   /// assume-canonical in force (`addr` is the canonical element base), but
@@ -358,13 +346,9 @@ class race_detector final : public execution_observer {
 
   detector_counters counters() const;
 
-  /// The graph's structural stats merged with the active backend's
-  /// query-layer counters (precede_queries, memo_hits, label_*). By value:
-  /// the merge composes two sources.
-  dsr::reachability_stats reachability_stats() const {
-    dsr::reachability_stats s = graph_.stats();
-    backend_->merge_stats(s);
-    return s;
+  /// The reachability graph's structural and query counters.
+  const dsr::reachability_stats& reachability_stats() const {
+    return graph_.stats();
   }
 
   const shadow_stats& storage_stats() const { return shadow_.stats(); }
@@ -374,11 +358,9 @@ class race_detector final : public execution_observer {
   std::size_t memory_bytes() const;
 
   /// Footprint of the reachability structure alone (no shadow memory): the
-  /// O(a + f + n) term of Theorem 1 plus the active backend's label/clock
-  /// storage, comparable against a vector-clock detector's clock storage.
-  std::size_t structure_bytes() const {
-    return graph_.memory_bytes() + backend_->memory_bytes();
-  }
+  /// O(a + f + n) term of Theorem 1, comparable against a vector-clock
+  /// detector's clock storage.
+  std::size_t structure_bytes() const { return graph_.memory_bytes(); }
 
   /// True iff the task can still be joined by a later get(): future tasks
   /// and tasks that fulfilled a promise. Lemma 4's one-async-reader coverage
@@ -403,11 +385,11 @@ class race_detector final : public execution_observer {
                                     : graph_degraded_;
   }
 
-  /// PRECEDE via the owning structure when attached (lock-free backend
-  /// subset first, then the structure mutex), or this detector's own
-  /// backend otherwise. Counts exactly like precede_backend::precedes so
-  /// per-shard sums reproduce the serial PrecedeQueries.
-  bool backend_precedes(task_id a, task_id b);
+  /// Algorithm 10 on this detector's graph, or on the owner's graph under
+  /// the structure mutex when attached. An attached checker counts its own
+  /// queries exactly like reachability_graph::precedes, so per-shard sums
+  /// reproduce the serial PrecedeQueries.
+  bool precedes(task_id a, task_id b);
 
   /// explain() against the structure that actually answered the queries —
   /// the owner's graph (under the structure mutex) when attached.
@@ -470,9 +452,6 @@ class race_detector final : public execution_observer {
 
   options opts_;
   dsr::reachability_graph graph_;
-  /// The PRECEDE answer path (options::precede_backend). Holds a reference
-  /// to graph_, so it is declared after it (destroyed first).
-  std::unique_ptr<dsr::precede_backend> backend_;
   shadow_memory shadow_;
   site_table sites_;
   std::vector<task_kind> kinds_;
@@ -533,7 +512,6 @@ class race_detector final : public execution_observer {
   race_detector* shared_owner_ = nullptr;  // structure owner (writer-side)
   std::mutex* shared_mutex_ = nullptr;     // serializes mutable query paths
   std::uint64_t shared_queries_ = 0;
-  std::uint64_t shared_lock_fallbacks_ = 0;
   /// Owned trace sink when options::trace_path is set (null otherwise).
   /// Declared last: it is torn down first, so the global hook is already
   /// uninstalled (and the JSON flushed) before any other member dies.

@@ -50,18 +50,8 @@ struct reachability_stats {
   std::uint64_t memo_invalidations = 0;  // epoch bumps (switch/merge/nt-edge)
   std::uint64_t epoch_compactions = 0;   // successful try_compact() passes
   std::uint64_t tasks_retired = 0;       // vertices freed by compaction
-
-  // -- PRECEDE-backend comparison counters (precede_backend.hpp) -------------
-  // Kept semantically comparable across the graph/depa/vc backends so one
-  // ablation artifact can rank them: bytes of ordering labels held, label
-  // comparisons performed (interval subsumptions / path-prefix tests / clock
-  // bit tests), the longest single label in bytes, and how many queries fell
-  // through to a bounded frontier search (always 0 for vc, which never
-  // searches).
-  std::uint64_t label_bytes = 0;
-  std::uint64_t label_comparisons = 0;
-  std::uint64_t max_label_len = 0;
-  std::uint64_t frontier_searches = 0;
+  std::uint64_t label_comparisons = 0;   // interval subsumption tests
+  std::uint64_t frontier_searches = 0;   // queries that needed visit()
 };
 
 /// Everything a race report needs to justify a PRECEDE verdict by hand

@@ -433,8 +433,11 @@ struct run_label {
 struct parallel_detector::impl {
   /// Per engine-worker emission state. Touched only by that worker's OS
   /// thread while the engine runs, and only by the main thread afterwards
-  /// (the engine joins its pool before program_done).
-  struct producer_state {
+  /// (the engine joins its pool before program_done). Its counters are
+  /// written on every event, so it owns whole cache lines: sharing one
+  /// with a neighbouring heap object made crypt-tasks' pipelined run about
+  /// 1.5x slower on a 4-core host.
+  struct alignas(64) producer_state {
     /// Producer-side canonicalization: span_of against the live element
     /// geometry at the access point, slab tier off (stores no cells). The
     /// global region registry is mutex+version guarded, so P concurrent
@@ -492,9 +495,9 @@ struct parallel_detector::impl {
   };
 
   /// The single-writer shared reachability structure (structure_mode::
-  /// shared): one race_detector owns the only graph + PRECEDE backend,
-  /// fed by one structure ring per producer. Checkers attach to it for
-  /// read-only queries and never mutate it.
+  /// shared): one race_detector owns the only graph, fed by one structure
+  /// ring per producer. Checkers attach to it for PRECEDE queries under
+  /// query_mutex and never apply structure events to it.
   struct shared_structure {
     std::unique_ptr<race_detector> owner;
     std::unique_ptr<dfs_replayer> rp;
@@ -516,8 +519,8 @@ struct parallel_detector::impl {
     std::atomic<std::uint64_t> terminator{0};
     /// The stream is fully applied: the final run's terminator is EOF.
     std::atomic<bool> eof{false};
-    /// Serializes the mutating PRECEDE query paths (graph search, DSU path
-    /// halving) across shards; the lock-free query_shared path bypasses it.
+    /// Serializes every checker's PRECEDE query on the owner's graph (the
+    /// search, path halving and memo all mutate it).
     std::mutex query_mutex;
     /// Guards `runs`: push_back keeps element references stable but a
     /// deque's internal block map is not concurrently indexable.
@@ -1397,10 +1400,10 @@ struct parallel_detector::impl {
     c.non_tree_joins = c0.non_tree_joins;
     c.epoch_resets = c0.epoch_resets;
     if (shared) {
-      // The owner issues the structure-time PRECEDE queries (non-tree-join
-      // dedup) and owns the memo; checkers add their access-time query
-      // counts below, so the sum reproduces the serial total.
-      c.precede_queries = c0.precede_queries;
+      // The owner's graph answers every checker's query and owns the memo,
+      // so its memo hits are the run's. Its own query count would double
+      // the checkers' access-time counts summed below, which alone
+      // reproduce the serial total.
       c.memo_hits = c0.memo_hits;
       c.degraded = c0.degraded;
       c.degradation_reasons = c0.degradation_reasons;
@@ -1787,8 +1790,8 @@ std::size_t parallel_detector::memory_bytes() const {
   impl_->finalize();
   // Walks every replica's shadow cells, so it is computed on demand rather
   // than inside finalize (which time-to-verdict includes). Attached shared-
-  // mode checkers report zero structure bytes; the owner's graph + backend
-  // count exactly once.
+  // mode checkers report zero structure bytes; the owner's graph counts
+  // exactly once.
   std::size_t bytes = 0;
   for (const auto& cp : impl_->checkers) bytes += cp->det->memory_bytes();
   if (impl_->shared) bytes += impl_->shared->owner->memory_bytes();

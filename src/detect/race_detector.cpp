@@ -133,8 +133,6 @@ race_detector::race_detector(options opts) : opts_(opts) {
   graph_.set_max_tasks(opts_.max_tasks);
   shadow_.set_max_bytes(opts_.max_shadow_bytes);
   graph_.set_memo_enabled(opts_.enable_fastpath);
-  backend_ = dsr::make_precede_backend(opts_.precede_backend, graph_);
-  backend_->set_memo_enabled(opts_.enable_fastpath);
   shadow_.set_direct_mapped(opts_.enable_fastpath);
   stamp_enabled_ = opts_.enable_fastpath;
   range_enabled_ = opts_.enable_range_checks;
@@ -155,7 +153,6 @@ void race_detector::on_program_start(task_id root) {
   }
   const dsr::task_id id = graph_.create_root();
   FUTRACE_CHECK_MSG(id == root, "detector and runtime task ids diverged");
-  backend_->on_root_created(root);
   kinds_.push_back(task_kind::root);
   put_flags_.push_back(0);
   root_chain_.assign(1, root);
@@ -200,7 +197,6 @@ void race_detector::on_task_spawn(task_id parent, task_id child,
   // Algorithm 2: label assignment, set creation, LSA inheritance.
   const dsr::task_id id = graph_.create_task(parent);
   FUTRACE_CHECK_MSG(id == child, "detector and runtime task ids diverged");
-  backend_->on_task_created(parent, child, kind == task_kind::continuation);
 }
 
 void race_detector::on_promise_put(task_id fulfiller) {
@@ -220,7 +216,6 @@ void race_detector::on_task_end(task_id t) {
   if (graph_degraded_) return;
   // Algorithm 3: finalize the postorder value.
   graph_.on_terminate(t);
-  backend_->on_terminated(t);
 }
 
 void race_detector::on_finish_end(task_id owner,
@@ -231,17 +226,14 @@ void race_detector::on_finish_end(task_id owner,
                     joined.size());
     // Piggyback a PRECEDE counter sample on the (rare) finish event so the
     // timeline shows query pressure without instrumenting the access path.
-    const dsr::reachability_stats gs = reachability_stats();
+    const dsr::reachability_stats& gs = graph_.stats();
     obs::trace_emit(obs::trace_kind::precede_sample, obs::trace_track::task,
                     owner, gs.precede_queries, gs.memo_hits);
   }
   if (graph_degraded_) return;
   // Algorithm 6: every task whose IEF just ended merges into the owner's
   // set (tree joins).
-  for (const task_id t : joined) {
-    graph_.on_finish_join(owner, t);
-    backend_->on_finish_joined(owner, t);
-  }
+  for (const task_id t : joined) graph_.on_finish_join(owner, t);
 }
 
 void race_detector::on_get(task_id waiter, task_id target) {
@@ -253,8 +245,7 @@ void race_detector::on_get(task_id waiter, task_id target) {
   // Algorithm 4: tree join (merge) or non-tree join (predecessor edge).
   ++get_operations_;
   if (graph_degraded_) return;
-  const bool tree_join = graph_.on_get(waiter, target);
-  backend_->on_get_joined(waiter, target, tree_join);
+  graph_.on_get(waiter, target);
 }
 
 void race_detector::on_program_end() {
@@ -285,7 +276,6 @@ void race_detector::maybe_epoch_reset(task_id parent, task_kind kind) {
 }
 
 void race_detector::compact_local_state() {
-  backend_->on_compacted();
   const dsr::epoch_id_map& nm = graph_.id_map();
   // Re-index the per-task mirrors: old storage positions (via the pre-reset
   // id_map_) collapse onto the kept prefix of the new layout.
@@ -322,31 +312,21 @@ bool race_detector::ordered(task_id before, task_id after,
                             precede_cache& cache) {
   if (before == k_invalid_task) return true;
   if (const bool* hit = cache.lookup(before)) return *hit;
-  const bool verdict = backend_precedes(before, after);
+  const bool verdict = precedes(before, after);
   cache.store(before, verdict);
   return verdict;
 }
 
-bool race_detector::backend_precedes(task_id a, task_id b) {
-  if (shared_owner_ == nullptr) [[likely]] {
-    return backend_->precedes(a, b);
-  }
-  // Shared-structure checker: query the owner's backend. Count first —
-  // precede_backend::precedes counts before its invalid check, and the sum
-  // of shared_queries_ over shards must reproduce the serial count.
+bool race_detector::precedes(task_id a, task_id b) {
+  if (shared_owner_ == nullptr) [[likely]] return graph_.precedes(a, b);
+  // Shared-structure checker: count first, like reachability_graph::precedes,
+  // so the sum of shared_queries_ over shards reproduces the serial count.
   ++shared_queries_;
   if (a == k_invalid_task) return true;
-  dsr::precede_backend& be = *shared_owner_->backend_;
-  if (be.concurrent_readable()) {
-    const int verdict = be.query_shared(a, b);
-    if (verdict >= 0) return verdict != 0;
-  }
-  // Mutating answer paths (graph search, DSU path halving, memo) are
-  // serialized across shards; the base memo is bypassed so no shard's query
-  // perturbs another's hit pattern.
-  ++shared_lock_fallbacks_;
+  // The graph's query path mutates (path halving, visit epochs, its memo),
+  // so every shard's query takes the structure mutex.
   std::lock_guard<std::mutex> lock(*shared_mutex_);
-  return be.query_locked(a, b);
+  return shared_owner_->graph_.precedes(a, b);
 }
 
 dsr::precede_explanation race_detector::explain_structure(task_id first,
@@ -532,7 +512,7 @@ bool race_detector::try_summary_read(shadow_memory::direct_range& slab,
   const std::uint64_t pre_readers = s.reader.task == k_invalid_task ? 0 : 1;
   bool covered = false;
   if (s.reader.task != k_invalid_task) {
-    if (backend_precedes(s.reader.task, t)) {
+    if (precedes(s.reader.task, t)) {
       s.reader = reader_entry{};
     } else if (!is_joinable(s.reader.task) && !is_joinable(t)) {
       covered = true;
@@ -542,7 +522,7 @@ bool race_detector::try_summary_read(shadow_memory::direct_range& slab,
       return false;
     }
   }
-  if (s.writer != k_invalid_task && !backend_precedes(s.writer, t)) {
+  if (s.writer != k_invalid_task && !precedes(s.writer, t)) {
     // Write-read race on every cell: materialize for exact per-cell
     // reports. (The reader retirement above is exactly what the per-cell
     // walk would also do, so the mutation is safe to keep.)
@@ -575,10 +555,10 @@ bool race_detector::try_summary_write(shadow_memory::direct_range& slab,
   }
   const std::uint64_t pre_readers = s.reader.task == k_invalid_task ? 0 : 1;
   if (s.reader.task != k_invalid_task) {
-    if (!backend_precedes(s.reader.task, t)) return false;  // read-write race
+    if (!precedes(s.reader.task, t)) return false;  // read-write race
     s.reader = reader_entry{};
   }
-  if (s.writer != k_invalid_task && !backend_precedes(s.writer, t)) {
+  if (s.writer != k_invalid_task && !precedes(s.writer, t)) {
     return false;  // write-write race on every cell
   }
   shadow_.note_range_direct(count);
@@ -851,7 +831,7 @@ std::vector<const void*> race_detector::racy_locations() const {
 
 detector_counters race_detector::counters() const {
   detector_counters c;
-  const dsr::reachability_stats gs = reachability_stats();
+  const dsr::reachability_stats& gs = graph_.stats();
   // Scalar tallies survive both degradation (the graph stops growing) and
   // epoch compaction (kinds_ shrinks to the kept tasks).
   c.tasks = tasks_spawned_;
@@ -890,8 +870,8 @@ detector_counters race_detector::counters() const {
 }
 
 std::size_t race_detector::memory_bytes() const {
-  // A shared-structure checker does not own its graph/backend footprint —
-  // the structure owner counts those bytes exactly once.
+  // A shared-structure checker does not own its graph footprint — the
+  // structure owner counts those bytes exactly once.
   const std::size_t structure =
       shared_owner_ != nullptr ? 0 : structure_bytes();
   return structure + shadow_.memory_bytes() +

@@ -237,12 +237,8 @@ void add_reachability_source(metrics_registry& reg,
     snap.counter("dsr", "memo_hits", static_cast<double>(s.memo_hits));
     snap.counter("dsr", "memo_invalidations",
                  static_cast<double>(s.memo_invalidations));
-    // PRECEDE-backend comparison counters (precede_backend.hpp).
-    snap.counter("dsr", "label_bytes", static_cast<double>(s.label_bytes));
     snap.counter("dsr", "label_comparisons",
                  static_cast<double>(s.label_comparisons));
-    snap.counter("dsr", "max_label_len",
-                 static_cast<double>(s.max_label_len));
     snap.counter("dsr", "frontier_searches",
                  static_cast<double>(s.frontier_searches));
   });

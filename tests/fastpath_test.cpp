@@ -3,6 +3,7 @@
 // options::enable_fastpath off the detector reproduces the unoptimized
 // algorithms exactly, and the two configurations must agree on every
 // per-location race verdict. This is the --no-fastpath debugging contract.
+// PrecedeMemo pins the PRECEDE memo's invalidation rules on its own.
 
 #include <gtest/gtest.h>
 
@@ -198,10 +199,11 @@ TEST(FastpathCounters, NoFastpathDisablesAllTiers) {
 }
 
 // Racy programs: both configurations must report the same racy locations —
-// including the raced-on array cells served from the direct tier.
+// including the raced-on array cells served from the direct tier. Both runs
+// share one array, so its cells have the same addresses in each.
 TEST(FastpathDifferential, RacyArrayVerdictsMatch) {
-  auto program = [] {
-    shared_array<int> data(32);
+  shared_array<int> data(32);
+  auto program = [&] {
     // Unjoined future writes race with the root's reads.
     auto f = async_future([&] {
       for (std::size_t i = 0; i < data.size(); ++i) {
@@ -218,6 +220,89 @@ TEST(FastpathDifferential, RacyArrayVerdictsMatch) {
   EXPECT_TRUE(fast.race_detected());
   EXPECT_EQ(racy_set(fast), racy_set(plain));
   EXPECT_EQ(fast.counters().racy_locations, 32u);
+}
+
+// ------------------------------------------------------------- PRECEDE memo
+//
+// The graph memo caches positive PRECEDE verdicts per (a, querying task) and
+// is invalidated by a task switch, a set union or a non-tree edge. These pin
+// it after unions, warm next to a racy pair, and across the id renumbering
+// of epoch compaction.
+
+// A positive cached before finish joins and a future get must still hold
+// after them, and no phantom race may appear.
+TEST(PrecedeMemo, HitsStayCorrectAfterUnions) {
+  shared_array<int> cells(4, 0);
+  auto det = run_detected(with_fastpath(true), [&] {
+    future<void> producer = async_future([&] { cells.write(0, 1); });
+    producer.get();
+    (void)cells.read(0);  // query producer => main: cached positive
+    // Unions: a finish block merges children into the main set, and a
+    // second future chain adds a non-tree edge.
+    finish([&] {
+      async([&] { cells.write(1, 2); });
+      async([&] { cells.write(2, 3); });
+    });
+    future<void> late = async_future([&] { (void)cells.read(0); });
+    late.get();
+    // Re-query the original producer ordering after all the unions.
+    (void)cells.read(0);
+    cells.write(0, 4);
+  });
+  EXPECT_EQ(det.race_count(), 0u);
+}
+
+// The memo only caches positives: a racy pair after a warm positive on the
+// same querying task must still be reported, exactly as without the memo.
+TEST(PrecedeMemo, RacesStillDetectedWithMemoWarm) {
+  shared_array<int> cells(2, 0);
+  auto program = [&] {
+    future<void> ordered = async_future([&] { cells.write(0, 1); });
+    ordered.get();
+    (void)cells.read(0);  // warm positive for (ordered => main)
+    // Unjoined sibling: its write races with the main task's read.
+    async([&] { cells.write(1, 7); });
+    (void)cells.read(1);
+  };
+  auto fast = run_detected(with_fastpath(true), program);
+  auto plain = run_detected(with_fastpath(false), program);
+  EXPECT_GT(fast.race_count(), 0u);
+  EXPECT_EQ(fast.race_count(), plain.race_count());
+  EXPECT_EQ(racy_set(fast), racy_set(plain));
+}
+
+// Epoch compaction renumbers runtime ids, so memo entries from the prior
+// epoch must not answer for reborn ids. A long root-level chain with a tiny
+// reset interval compacts several times; its verdict and paper counters
+// must match a run without compaction.
+TEST(PrecedeMemo, CompactionInvalidatesStaleEntries) {
+  shared_array<int> cells(8, 0);
+  auto program = [&] {
+    for (int round = 0; round < 200; ++round) {
+      future<void> f =
+          async_future([&cells, round] { cells.write(round % 8, round); });
+      f.get();
+      (void)cells.read(round % 8);
+    }
+  };
+  detect::race_detector::options compacting;
+  compacting.epoch_reset_interval = 16;
+  auto det = run_detected(compacting, program);
+  auto reference = run_detected({}, program);
+  EXPECT_EQ(det.race_count(), 0u);
+  EXPECT_EQ(reference.race_count(), 0u);
+  EXPECT_GT(det.epoch_resets(), 0u);
+  const detect::detector_counters a = det.counters();
+  const detect::detector_counters b = reference.counters();
+  EXPECT_EQ(a.tasks, b.tasks);
+  EXPECT_EQ(a.non_tree_joins, b.non_tree_joins);
+  EXPECT_EQ(a.shared_mem_accesses, b.shared_mem_accesses);
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.locations, b.locations);
+  EXPECT_DOUBLE_EQ(a.avg_readers, b.avg_readers);
+  EXPECT_EQ(a.races_observed, b.races_observed);
+  EXPECT_EQ(a.precede_queries, b.precede_queries);
 }
 
 // ------------------------------------------------------------------- ranges
@@ -336,10 +421,11 @@ TEST(RangeCounters, SummaryTierEngagesOnFullArraySweeps) {
 // Racy ranges: an unjoined future's write_range against the root's
 // read_range. Every overlapped cell must be flagged, in both configurations,
 // whether the race is caught by the per-cell walk or forces summary
-// materialization first.
+// materialization first. All runs share one array, so its cells have the
+// same addresses in each.
 TEST(RangeDifferential, RacyRangeVerdictsMatch) {
-  auto program = [] {
-    shared_array<int> data(64);
+  shared_array<int> data(64);
+  auto program = [&] {
     auto f = async_future([&] {
       const auto out = data.write_range(0, 32);
       for (std::size_t i = 0; i < out.size(); ++i) {

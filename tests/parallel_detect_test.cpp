@@ -8,7 +8,7 @@
 // so serial and parallel runs execute the same program by construction.
 //
 // Suites:
-//   ParDetectDiff       — racy traces, seeds x workers x backends x faults.
+//   ParDetectDiff       — racy traces, seeds x workers x faults.
 //   ParallelDetectSafe  — race-free traces; also the TSan CI fixture
 //                         (ctest -R "ParallelDetectSafe").
 
@@ -34,9 +34,8 @@ using detect::race_detector;
 
 // --------------------------------------------------------------- harness
 
-race_detector::options base_opts(dsr::backend_kind backend) {
+race_detector::options base_opts() {
   race_detector::options opts;
-  opts.precede_backend = backend;
   // Differential runs compare full report lists; never hit the cap.
   opts.max_reports = 1u << 20;
   return opts;
@@ -112,8 +111,8 @@ struct serial_ref {
   std::vector<report_sig> sigs;
 };
 
-serial_ref run_serial(progen::program_trace& prog, dsr::backend_kind backend) {
-  race_detector det(base_opts(backend));
+serial_ref run_serial(progen::program_trace& prog) {
+  race_detector det(base_opts());
   runtime rt({.mode = exec_mode::serial_dfs});
   rt.add_observer(&det);
   rt.run([&] { prog(); });
@@ -126,10 +125,9 @@ serial_ref run_serial(progen::program_trace& prog, dsr::backend_kind backend) {
   return ref;
 }
 
-parallel_detector run_parallel(progen::program_trace& prog,
-                               dsr::backend_kind backend, unsigned workers,
+parallel_detector run_parallel(progen::program_trace& prog, unsigned workers,
                                parallel_detector::tuning tune = {}) {
-  parallel_detector det(base_opts(backend), tune);
+  parallel_detector det(base_opts(), tune);
   runtime rt({.mode = exec_mode::parallel_detect, .workers = workers});
   rt.add_parallel_sink(&det);
   rt.run([&] { prog(); });
@@ -179,21 +177,17 @@ progen::trace_config safe_config(std::uint64_t seed) {
 
 // ---------------------------------------------------- ParDetectDiff suite
 
-/// Core matrix: seeds x engine workers {1, 2, 4} x PRECEDE backends.
+/// Core matrix: seeds x engine workers {1, 2, 4}.
 TEST(ParDetectDiff, MatchesSerialAcrossWorkersAndBackends) {
   for (const std::uint64_t seed : {2u, 11u, 29u, 47u, 83u}) {
     progen::program_trace prog(racy_config(seed));
-    for (const dsr::backend_kind backend :
-         {dsr::backend_kind::graph, dsr::backend_kind::depa}) {
-      const serial_ref ref = run_serial(prog, backend);
-      for (const unsigned workers : {1u, 2u, 4u}) {
-        parallel_detector det = run_parallel(prog, backend, workers);
-        EXPECT_TRUE(det.parallel_active());
-        expect_matches(det, ref, prog,
-                       "seed=" + std::to_string(seed) +
-                           " workers=" + std::to_string(workers) +
-                           " backend=" + std::to_string(int(backend)));
-      }
+    const serial_ref ref = run_serial(prog);
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      parallel_detector det = run_parallel(prog, workers);
+      EXPECT_TRUE(det.parallel_active());
+      expect_matches(det, ref, prog,
+                     "seed=" + std::to_string(seed) +
+                         " workers=" + std::to_string(workers));
     }
   }
 }
@@ -201,12 +195,11 @@ TEST(ParDetectDiff, MatchesSerialAcrossWorkersAndBackends) {
 /// Checker-count decoupled from worker count (W != P), including one shard.
 TEST(ParDetectDiff, CheckerCountIndependent) {
   progen::program_trace prog(racy_config(7));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   for (const unsigned checkers : {1u, 2u, 3u}) {
     parallel_detector::tuning tune;
     tune.checkers = checkers;
-    parallel_detector det =
-        run_parallel(prog, dsr::backend_kind::graph, 4, tune);
+    parallel_detector det = run_parallel(prog, 4, tune);
     expect_matches(det, ref, prog,
                    "checkers=" + std::to_string(checkers));
   }
@@ -215,10 +208,10 @@ TEST(ParDetectDiff, CheckerCountIndependent) {
 /// A tiny ring forces the producer backpressure path without faults.
 TEST(ParDetectDiff, TinyRingBackpressure) {
   progen::program_trace prog(racy_config(13));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   parallel_detector::tuning tune;
   tune.ring_capacity = 8;
-  parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 4, tune);
+  parallel_detector det = run_parallel(prog, 4, tune);
   expect_matches(det, ref, prog, "ring=8");
 }
 
@@ -227,7 +220,7 @@ TEST(ParDetectDiff, TinyRingBackpressure) {
 /// order.
 TEST(ParDetectDiff, StealPerturbationInvariant) {
   progen::program_trace prog(racy_config(31));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   for (const std::uint64_t fault_seed : {1u, 5u, 9u}) {
     inject::fault_plan plan;
     plan.seed = fault_seed;
@@ -235,7 +228,7 @@ TEST(ParDetectDiff, StealPerturbationInvariant) {
     plan.yield_every = 3;
     inject::fault_injector inj(plan);
     inject::scoped_injector guard(inj);
-    parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 4);
+    parallel_detector det = run_parallel(prog, 4);
     expect_matches(det, ref, prog,
                    "fault_seed=" + std::to_string(fault_seed));
   }
@@ -249,13 +242,13 @@ TEST(ParDetectDiff, CheckerKillDegradesToInlineTakeover) {
   for (const progen::trace_config& cfg :
        {racy_config(53), access_heavy_config(53)}) {
     progen::program_trace prog(cfg);
-    const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+    const serial_ref ref = run_serial(prog);
     for (const std::uint64_t kill_at : {1u, 40u, 400u, 2000u}) {
       inject::fault_plan plan;
       plan.pipe_kill_at = kill_at;
       inject::fault_injector inj(plan);
       inject::scoped_injector guard(inj);
-      parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 4);
+      parallel_detector det = run_parallel(prog, 4);
       const std::string label = "stmts<=" + std::to_string(cfg.max_stmts) +
                                 " kill_at=" + std::to_string(kill_at);
       expect_matches(det, ref, prog, label);
@@ -272,13 +265,13 @@ TEST(ParDetectDiff, CheckerKillDegradesToInlineTakeover) {
 /// the producer. Both are latency-only faults.
 TEST(ParDetectDiff, StallAndForcedFullAreLatencyOnly) {
   progen::program_trace prog(racy_config(67));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   {
     inject::fault_plan plan;
     plan.pipe_stall_at = 25;
     inject::fault_injector inj(plan);
     inject::scoped_injector guard(inj);
-    parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 2);
+    parallel_detector det = run_parallel(prog, 2);
     expect_matches(det, ref, prog, "stall_at=25");
   }
   {
@@ -287,7 +280,7 @@ TEST(ParDetectDiff, StallAndForcedFullAreLatencyOnly) {
     plan.pipe_ring_full_spins = 64;
     inject::fault_injector inj(plan);
     inject::scoped_injector guard(inj);
-    parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 2);
+    parallel_detector det = run_parallel(prog, 2);
     expect_matches(det, ref, prog, "ring_full_at=10");
     EXPECT_GT(det.pipe_stats().backpressure_waits, 0u);
   }
@@ -297,12 +290,12 @@ TEST(ParDetectDiff, StallAndForcedFullAreLatencyOnly) {
 /// every event spilled, full replay at finalize. Slow but exact.
 TEST(ParDetectDiff, RingAllocationRefusedBuffersEverything) {
   progen::program_trace prog(racy_config(71));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   inject::fault_plan plan;
   plan.fail_alloc_at = 1;  // the ring block is the first gated allocation
   inject::fault_injector inj(plan);
   inject::scoped_injector guard(inj);
-  parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 2);
+  parallel_detector det = run_parallel(prog, 2);
   expect_matches(det, ref, prog, "buffer-mode");
   EXPECT_EQ(det.pipe_stats().ring_capacity, 0u);
   EXPECT_GT(det.pipe_stats().inline_fallbacks, 0u);
@@ -313,7 +306,7 @@ TEST(ParDetectDiff, RingAllocationRefusedBuffersEverything) {
 /// order).
 TEST(ParDetectDiff, ReportRenderingDeterministicUnderStealHeavySchedules) {
   progen::program_trace prog(racy_config(97));
-  ASSERT_TRUE(run_serial(prog, dsr::backend_kind::graph).detected);
+  ASSERT_TRUE(run_serial(prog).detected);
 
   std::string first_rendering;
   for (int run = 0; run < 4; ++run) {
@@ -323,7 +316,7 @@ TEST(ParDetectDiff, ReportRenderingDeterministicUnderStealHeavySchedules) {
     plan.yield_every = 2;
     inject::fault_injector inj(plan);
     inject::scoped_injector guard(inj);
-    parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 4);
+    parallel_detector det = run_parallel(prog, 4);
     std::string rendering;
     for (const detect::race_report& r : det.reports()) {
       // Addresses vary run to run only if the allocation moved; the same
@@ -349,23 +342,20 @@ TEST(ParDetectDiff, ReportRenderingDeterministicUnderStealHeavySchedules) {
 TEST(ParallelDetectSafe, RaceFreeTracesStayClean) {
   for (const std::uint64_t seed : {3u, 17u, 59u}) {
     progen::program_trace prog(safe_config(seed));
-    for (const dsr::backend_kind backend :
-         {dsr::backend_kind::graph, dsr::backend_kind::depa}) {
-      const serial_ref ref = run_serial(prog, backend);
-      EXPECT_FALSE(ref.detected) << "seed=" << seed;
-      for (const unsigned workers : {2u, 4u}) {
-        parallel_detector det = run_parallel(prog, backend, workers);
-        expect_matches(det, ref, prog,
-                       "safe seed=" + std::to_string(seed) +
-                           " workers=" + std::to_string(workers));
-      }
+    const serial_ref ref = run_serial(prog);
+    EXPECT_FALSE(ref.detected) << "seed=" << seed;
+    for (const unsigned workers : {2u, 4u}) {
+      parallel_detector det = run_parallel(prog, workers);
+      expect_matches(det, ref, prog,
+                     "safe seed=" + std::to_string(seed) +
+                         " workers=" + std::to_string(workers));
     }
   }
 }
 
 TEST(ParallelDetectSafe, PerturbedSchedulesStayClean) {
   progen::program_trace prog(safe_config(23));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   ASSERT_FALSE(ref.detected);
   for (const std::uint64_t fault_seed : {2u, 8u}) {
     inject::fault_plan plan;
@@ -374,7 +364,7 @@ TEST(ParallelDetectSafe, PerturbedSchedulesStayClean) {
     plan.yield_every = 4;
     inject::fault_injector inj(plan);
     inject::scoped_injector guard(inj);
-    parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 4);
+    parallel_detector det = run_parallel(prog, 4);
     expect_matches(det, ref, prog,
                    "safe fault_seed=" + std::to_string(fault_seed));
   }
@@ -398,7 +388,7 @@ TEST(ParallelDetectSafe, DisjointSlicesNoFalsePositives) {
     (void)data.read_range(0, 64);
   };
 
-  race_detector serial_det(base_opts(dsr::backend_kind::graph));
+  race_detector serial_det(base_opts());
   {
     runtime rt({.mode = exec_mode::serial_dfs});
     rt.add_observer(&serial_det);
@@ -406,7 +396,7 @@ TEST(ParallelDetectSafe, DisjointSlicesNoFalsePositives) {
   }
   EXPECT_FALSE(serial_det.race_detected());
 
-  parallel_detector det(base_opts(dsr::backend_kind::graph));
+  parallel_detector det(base_opts());
   runtime rt({.mode = exec_mode::parallel_detect, .workers = 4});
   rt.add_parallel_sink(&det);
   rt.run(body);

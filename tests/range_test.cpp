@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <source_location>
@@ -28,9 +29,15 @@
 namespace futrace {
 namespace {
 
-std::set<const void*> racy_set(const detect::race_detector& det) {
-  const auto locations = det.racy_locations();
-  return {locations.begin(), locations.end()};
+/// Racy locations as byte offsets from `base`, the run's array.
+std::set<std::ptrdiff_t> racy_offsets(const detect::race_detector& det,
+                                      const void* base) {
+  std::set<std::ptrdiff_t> offsets;
+  for (const void* loc : det.racy_locations()) {
+    offsets.insert(static_cast<const char*>(loc) -
+                   static_cast<const char*>(base));
+  }
+  return offsets;
 }
 
 detect::race_detector::options config(bool fastpath, bool ranges) {
@@ -51,14 +58,22 @@ detect::race_detector run_detected(detect::race_detector::options opts,
 }
 
 /// All three configurations on one program; returns the ranges-on detector
-/// after asserting the racy sets agree.
+/// after asserting the racy sets agree. Each run allocates a fresh array
+/// and `body` stores its base in its argument, so the sets are compared as
+/// offsets from that base: an allocator need not hand a run the block the
+/// previous run freed (ASan's quarantine never does).
 template <typename Body>
 detect::race_detector run_all_configs(Body&& body) {
-  auto ranged = run_detected(config(true, true), body);
-  auto scalar = run_detected(config(true, false), body);
-  auto plain = run_detected(config(false, true), body);
-  EXPECT_EQ(racy_set(ranged), racy_set(scalar)) << "ranges on vs --no-ranges";
-  EXPECT_EQ(racy_set(ranged), racy_set(plain)) << "ranges on vs --no-fastpath";
+  const void* base = nullptr;
+  const auto run = [&](bool fastpath, bool ranges) {
+    return run_detected(config(fastpath, ranges), [&] { body(base); });
+  };
+  auto ranged = run(true, true);
+  const std::set<std::ptrdiff_t> offsets = racy_offsets(ranged, base);
+  auto scalar = run(true, false);
+  EXPECT_EQ(racy_offsets(scalar, base), offsets) << "ranges on vs --no-ranges";
+  auto plain = run(false, true);
+  EXPECT_EQ(racy_offsets(plain, base), offsets) << "ranges on vs --no-fastpath";
   return ranged;
 }
 
@@ -68,8 +83,9 @@ detect::race_detector run_all_configs(Body&& body) {
 // strides. The detector must check all eight locations — under-checking
 // here silently dropped seven racy cells before size decomposition existed.
 TEST(MixedSizeAccess, WideScalarReadChecksEveryElement) {
-  auto program = [] {
+  auto program = [](const void*& base) {
     shared_array<std::uint8_t> bytes(64, 0);
+    base = bytes.address(0);
     auto f = async_future([&] {
       for (std::size_t i = 0; i < 8; ++i) {
         bytes.write(i, static_cast<std::uint8_t>(i));
@@ -88,8 +104,9 @@ TEST(MixedSizeAccess, WideScalarReadChecksEveryElement) {
 }
 
 TEST(MixedSizeAccess, WideScalarWriteChecksEveryElement) {
-  auto program = [] {
+  auto program = [](const void*& base) {
     shared_array<std::uint32_t> words(16, 0);
+    base = words.address(0);
     auto f = async_future([&] {
       (void)words.read(0);
       (void)words.read(1);
@@ -108,8 +125,9 @@ TEST(MixedSizeAccess, WideScalarWriteChecksEveryElement) {
 // An access that straddles an element boundary without covering either
 // element fully still conflicts with both.
 TEST(MixedSizeAccess, UnalignedStraddleCoversBothElements) {
-  auto program = [] {
+  auto program = [](const void*& base) {
     shared_array<std::uint32_t> words(8, 0);
+    base = words.address(0);
     auto f = async_future([&] {
       words.write(0, 1);
       words.write(1, 2);
@@ -144,8 +162,9 @@ TEST(MixedSizeAccess, ElementSizedAccessStaysScalar) {
 // middle must materialize the slab summary back to per-cell state and still
 // report the race on exactly the touched cell.
 TEST(RangeSummary, ScalarAccessMaterializesAndKeepsVerdict) {
-  auto program = [] {
+  auto program = [](const void*& base) {
     shared_array<int> data(128, 0);
+    base = data.address(0);
     auto f = async_future([&] {
       const auto out = data.write_all();
       for (std::size_t i = 0; i < out.size(); ++i) {
@@ -212,8 +231,9 @@ TEST(RangeSummary, OrderedFullSweepsHitSummaryTier) {
 // summary every slab is born with: no per-cell walk, and the cells are
 // allocated only when a scalar access diverges from the summary.
 TEST(RangeSummary, FreshSlabFirstFullWriteHitsSummary) {
-  auto det = run_all_configs([] {
+  auto det = run_all_configs([](const void*& base) {
     shared_array<int> data(256, 0);
+    base = data.address(0);
     finish([&] {
       async([&] { (void)data.write_all(); });
     });

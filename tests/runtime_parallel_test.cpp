@@ -1,93 +1,16 @@
-// Tests for the parallel work-stealing engine and the Chase-Lev deque.
+// Tests for the parallel work-stealing engine.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <numeric>
-#include <thread>
 #include <vector>
 
 #include "futrace/runtime/runtime.hpp"
-#include "futrace/runtime/ws_deque.hpp"
 
 namespace futrace {
 namespace {
-
-// -------------------------------------------------------------------- ws_deque
-
-TEST(WsDeque, LifoForOwner) {
-  ws_deque<int> d;
-  d.push(1);
-  d.push(2);
-  d.push(3);
-  EXPECT_EQ(d.pop(), 3);
-  EXPECT_EQ(d.pop(), 2);
-  EXPECT_EQ(d.pop(), 1);
-  EXPECT_EQ(d.pop(), std::nullopt);
-}
-
-TEST(WsDeque, FifoForThief) {
-  ws_deque<int> d;
-  d.push(1);
-  d.push(2);
-  d.push(3);
-  EXPECT_EQ(d.steal(), 1);
-  EXPECT_EQ(d.steal(), 2);
-  EXPECT_EQ(d.steal(), 3);
-  EXPECT_EQ(d.steal(), std::nullopt);
-}
-
-TEST(WsDeque, GrowsPastInitialCapacity) {
-  ws_deque<int> d(4);
-  for (int i = 0; i < 1000; ++i) d.push(i);
-  for (int i = 999; i >= 0; --i) EXPECT_EQ(d.pop(), i);
-}
-
-TEST(WsDeque, ConcurrentStealersReceiveEachElementOnce) {
-  ws_deque<int> d;
-  constexpr int kItems = 20000;
-  std::atomic<long long> sum{0};
-  std::atomic<int> taken{0};
-  std::atomic<bool> done{false};
-
-  auto thief = [&] {
-    while (!done.load() || !d.empty_estimate()) {
-      if (auto v = d.steal()) {
-        sum.fetch_add(*v);
-        taken.fetch_add(1);
-      }
-    }
-  };
-  std::thread t1(thief), t2(thief);
-
-  long long pushed = 0;
-  for (int i = 1; i <= kItems; ++i) {
-    d.push(i);
-    pushed += i;
-    if (i % 3 == 0) {
-      if (auto v = d.pop()) {
-        sum.fetch_add(*v);
-        taken.fetch_add(1);
-      }
-    }
-  }
-  while (auto v = d.pop()) {
-    sum.fetch_add(*v);
-    taken.fetch_add(1);
-  }
-  done.store(true);
-  t1.join();
-  t2.join();
-  // Late steals after the final pop sweep:
-  while (auto v = d.steal()) {
-    sum.fetch_add(*v);
-    taken.fetch_add(1);
-  }
-  EXPECT_EQ(taken.load(), kItems);
-  EXPECT_EQ(sum.load(), pushed);
-}
 
 // -------------------------------------------------------------- parallel engine
 

@@ -1,13 +1,13 @@
 // Differential tests for structure_mode::shared (DESIGN.md §15): one
-// reachability graph + PRECEDE backend behind a single-writer structure
-// thread, shard checkers fencing on the admitted position and querying
-// read-only. Every observable outcome — verdict, race count, canonically-
-// sorted reports, paper counters — must be identical to BOTH the serial
-// inline run and the replicated parallel run of the same program, under
-// every backend, worker count, batch size, and fault plan.
+// reachability graph behind a single-writer structure thread, shard
+// checkers fencing on the admitted position and querying it under the
+// structure mutex. Every observable outcome — verdict, race count,
+// canonically-sorted reports, paper counters — must be identical to BOTH
+// the serial inline run and the replicated parallel run of the same
+// program, under every worker count, batch size, and fault plan.
 //
 // Suites:
-//   SharedStructureDiff — racy traces: seeds x workers x backends x faults
+//   SharedStructureDiff — racy traces: seeds x workers x faults
 //                         (checker kill, structure-writer kill, tiny rings,
 //                         refused allocation, epoch compaction, batching).
 //   SharedStructureSafe — race-free traces; also the TSan CI fixture
@@ -36,9 +36,8 @@ using detect::structure_mode;
 
 // --------------------------------------------------------------- harness
 
-race_detector::options base_opts(dsr::backend_kind backend) {
+race_detector::options base_opts() {
   race_detector::options opts;
-  opts.precede_backend = backend;
   opts.max_reports = 1u << 20;
   return opts;
 }
@@ -133,8 +132,8 @@ serial_ref run_serial(progen::program_trace& prog,
   return ref;
 }
 
-serial_ref run_serial(progen::program_trace& prog, dsr::backend_kind backend) {
-  return run_serial(prog, base_opts(backend));
+serial_ref run_serial(progen::program_trace& prog) {
+  return run_serial(prog, base_opts());
 }
 
 parallel_detector run_parallel(progen::program_trace& prog,
@@ -147,11 +146,10 @@ parallel_detector run_parallel(progen::program_trace& prog,
   return det;
 }
 
-parallel_detector run_shared(progen::program_trace& prog,
-                             dsr::backend_kind backend, unsigned workers,
+parallel_detector run_shared(progen::program_trace& prog, unsigned workers,
                              parallel_detector::tuning tune = shared_tune()) {
   tune.structure = structure_mode::shared;
-  return run_parallel(prog, base_opts(backend), workers, tune);
+  return run_parallel(prog, base_opts(), workers, tune);
 }
 
 void expect_matches(const parallel_detector& det, const serial_ref& ref,
@@ -197,33 +195,27 @@ progen::trace_config safe_config(std::uint64_t seed) {
 // ----------------------------------------------- SharedStructureDiff suite
 
 /// Core matrix: shared mode must match serial AND the replicated pipeline
-/// across seeds x workers x PRECEDE backends. precede_queries — owner's
-/// structure-time queries plus the sum of checker access-time queries —
-/// must reproduce the serial count exactly (no compaction in this config).
+/// across seeds x workers. precede_queries — the sum of the checkers'
+/// access-time queries — must reproduce the serial count exactly (no
+/// compaction in this config).
 TEST(SharedStructureDiff, MatchesSerialAndReplicatedAcrossMatrix) {
   for (const std::uint64_t seed : {2u, 11u, 29u, 47u, 83u}) {
     progen::program_trace prog(racy_config(seed));
-    for (const dsr::backend_kind backend :
-         {dsr::backend_kind::graph, dsr::backend_kind::depa}) {
-      const serial_ref ref = run_serial(prog, backend);
-      for (const unsigned workers : {1u, 2u, 4u}) {
-        const std::string label = "seed=" + std::to_string(seed) +
-                                  " workers=" + std::to_string(workers) +
-                                  " backend=" + std::to_string(int(backend));
-        parallel_detector det = run_shared(prog, backend, workers);
-        EXPECT_TRUE(det.parallel_active());
-        expect_matches(det, ref, prog, label);
-        EXPECT_EQ(det.counters().precede_queries,
-                  ref.counters.precede_queries)
-            << label;
-        EXPECT_GT(det.par_stats().structure_events, 0u) << label;
+    const serial_ref ref = run_serial(prog);
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      const std::string label = "seed=" + std::to_string(seed) +
+                                " workers=" + std::to_string(workers);
+      parallel_detector det = run_shared(prog, workers);
+      EXPECT_TRUE(det.parallel_active());
+      expect_matches(det, ref, prog, label);
+      EXPECT_EQ(det.counters().precede_queries, ref.counters.precede_queries)
+          << label;
+      EXPECT_GT(det.par_stats().structure_events, 0u) << label;
 
-        parallel_detector rep =
-            run_parallel(prog, base_opts(backend), workers, {});
-        expect_matches(rep, ref, prog, label + " (replicated)");
-        expect_paper_counters_equal(det.counters(), rep.counters(),
-                                    label + " shared-vs-replicated");
-      }
+      parallel_detector rep = run_parallel(prog, base_opts(), workers, {});
+      expect_matches(rep, ref, prog, label + " (replicated)");
+      expect_paper_counters_equal(det.counters(), rep.counters(),
+                                  label + " shared-vs-replicated");
     }
   }
 }
@@ -232,12 +224,11 @@ TEST(SharedStructureDiff, MatchesSerialAndReplicatedAcrossMatrix) {
 /// the fence is a single-consumer handshake).
 TEST(SharedStructureDiff, CheckerCountIndependent) {
   progen::program_trace prog(racy_config(7));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   for (const unsigned checkers : {1u, 2u, 3u}) {
     parallel_detector::tuning tune = shared_tune();
     tune.checkers = checkers;
-    parallel_detector det =
-        run_shared(prog, dsr::backend_kind::graph, 4, tune);
+    parallel_detector det = run_shared(prog, 4, tune);
     expect_matches(det, ref, prog, "checkers=" + std::to_string(checkers));
   }
 }
@@ -246,10 +237,10 @@ TEST(SharedStructureDiff, CheckerCountIndependent) {
 /// the structure ring, plus the writer's drain-while-fenced path.
 TEST(SharedStructureDiff, TinyRingBackpressure) {
   progen::program_trace prog(racy_config(13));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   parallel_detector::tuning tune = shared_tune();
   tune.ring_capacity = 8;
-  parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4, tune);
+  parallel_detector det = run_shared(prog, 4, tune);
   expect_matches(det, ref, prog, "ring=8");
 }
 
@@ -260,17 +251,16 @@ TEST(SharedStructureDiff, TinyRingBackpressure) {
 /// their own — so sweep it in both structure modes.
 TEST(SharedStructureDiff, BatchSizeInvariant) {
   progen::program_trace prog(racy_config(19));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   for (const std::size_t ring : {std::size_t{2}, std::size_t{8},
                                  std::size_t{32}, std::size_t{64}}) {
     const std::string label = "ring=" + std::to_string(ring);
     parallel_detector::tuning tune = shared_tune();
     tune.ring_capacity = ring;
-    parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4, tune);
+    parallel_detector det = run_shared(prog, 4, tune);
     expect_matches(det, ref, prog, label);
     tune.structure = structure_mode::replicated;
-    parallel_detector rep =
-        run_parallel(prog, base_opts(dsr::backend_kind::graph), 4, tune);
+    parallel_detector rep = run_parallel(prog, base_opts(), 4, tune);
     expect_matches(rep, ref, prog, label + " (replicated)");
   }
 }
@@ -282,7 +272,7 @@ TEST(SharedStructureDiff, BatchSizeInvariant) {
 /// fence were broken.
 TEST(SharedStructureDiff, StealPerturbationAndPartialStructureGuard) {
   progen::program_trace prog(racy_config(31));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   for (const std::uint64_t fault_seed : {1u, 5u, 9u}) {
     inject::fault_plan plan;
     plan.seed = fault_seed;
@@ -292,8 +282,7 @@ TEST(SharedStructureDiff, StealPerturbationAndPartialStructureGuard) {
     inject::scoped_injector guard(inj);
     parallel_detector::tuning tune = shared_tune();
     tune.ring_capacity = 16;  // keep the admitted position hot
-    parallel_detector det =
-        run_shared(prog, dsr::backend_kind::graph, 4, tune);
+    parallel_detector det = run_shared(prog, 4, tune);
     expect_matches(det, ref, prog,
                    "fault_seed=" + std::to_string(fault_seed));
   }
@@ -307,13 +296,13 @@ TEST(SharedStructureDiff, CheckerKillServicedByWriter) {
   for (const progen::trace_config& cfg :
        {racy_config(53), access_heavy_config(53)}) {
     progen::program_trace prog(cfg);
-    const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+    const serial_ref ref = run_serial(prog);
     for (const std::uint64_t kill_at : {1u, 40u, 400u, 2000u}) {
       inject::fault_plan plan;
       plan.pipe_kill_at = kill_at;
       inject::fault_injector inj(plan);
       inject::scoped_injector guard(inj);
-      parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4);
+      parallel_detector det = run_shared(prog, 4);
       const std::string label = "stmts<=" + std::to_string(cfg.max_stmts) +
                                 " kill_at=" + std::to_string(kill_at);
       expect_matches(det, ref, prog, label);
@@ -329,25 +318,21 @@ TEST(SharedStructureDiff, CheckerKillServicedByWriter) {
 /// the worker-death reasons bit is set (degraded() itself matches serial).
 TEST(SharedStructureDiff, StructureWriterKillFallsBackExactly) {
   progen::program_trace prog(racy_config(61));
-  for (const dsr::backend_kind backend :
-       {dsr::backend_kind::graph, dsr::backend_kind::depa}) {
-    const serial_ref ref = run_serial(prog, backend);
-    for (const std::uint64_t kill_at : {1u, 5u, 50u}) {
-      inject::fault_plan plan;
-      plan.pipe_structure_kill_at = kill_at;
-      inject::fault_injector inj(plan);
-      inject::scoped_injector guard(inj);
-      parallel_detector det = run_shared(prog, backend, 4);
-      const std::string label = "structure_kill_at=" + std::to_string(kill_at) +
-                                " backend=" + std::to_string(int(backend));
-      expect_matches(det, ref, prog, label);
-      if (inj.snapshot().pipe_structure_kills > 0) {
-        EXPECT_EQ(det.par_stats().structure_writer_died, 1u) << label;
-        EXPECT_NE(det.counters().degradation_reasons &
-                      detect::k_degraded_worker_death,
-                  0u)
-            << label;
-      }
+  const serial_ref ref = run_serial(prog);
+  for (const std::uint64_t kill_at : {1u, 5u, 50u}) {
+    inject::fault_plan plan;
+    plan.pipe_structure_kill_at = kill_at;
+    inject::fault_injector inj(plan);
+    inject::scoped_injector guard(inj);
+    parallel_detector det = run_shared(prog, 4);
+    const std::string label = "structure_kill_at=" + std::to_string(kill_at);
+    expect_matches(det, ref, prog, label);
+    if (inj.snapshot().pipe_structure_kills > 0) {
+      EXPECT_EQ(det.par_stats().structure_writer_died, 1u) << label;
+      EXPECT_NE(det.counters().degradation_reasons &
+                    detect::k_degraded_worker_death,
+                0u)
+          << label;
     }
   }
 }
@@ -358,16 +343,11 @@ TEST(SharedStructureDiff, StructureWriterKillFallsBackExactly) {
 /// still match exactly.
 TEST(SharedStructureDiff, EpochCompactionWriterSide) {
   progen::program_trace prog(racy_config(43));
-  for (const dsr::backend_kind backend :
-       {dsr::backend_kind::graph, dsr::backend_kind::depa}) {
-    race_detector::options opts = base_opts(backend);
-    opts.epoch_reset_interval = 8;
-    const serial_ref ref = run_serial(prog, opts);
-    parallel_detector det = run_parallel(prog, opts, 4, shared_tune());
-    const std::string label =
-        "epoch_interval=8 backend=" + std::to_string(int(backend));
-    expect_matches(det, ref, prog, label);
-  }
+  race_detector::options opts = base_opts();
+  opts.epoch_reset_interval = 8;
+  const serial_ref ref = run_serial(prog, opts);
+  parallel_detector det = run_parallel(prog, opts, 4, shared_tune());
+  expect_matches(det, ref, prog, "epoch_interval=8");
 }
 
 /// Refused ring allocation: buffer mode with a dead writer from the start;
@@ -375,12 +355,12 @@ TEST(SharedStructureDiff, EpochCompactionWriterSide) {
 /// single-threaded.
 TEST(SharedStructureDiff, RingAllocationRefusedBuffersEverything) {
   progen::program_trace prog(racy_config(71));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   inject::fault_plan plan;
   plan.fail_alloc_at = 1;
   inject::fault_injector inj(plan);
   inject::scoped_injector guard(inj);
-  parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 2);
+  parallel_detector det = run_shared(prog, 2);
   expect_matches(det, ref, prog, "buffer-mode");
   EXPECT_EQ(det.pipe_stats().ring_capacity, 0u);
   EXPECT_GT(det.pipe_stats().inline_fallbacks, 0u);
@@ -391,10 +371,9 @@ TEST(SharedStructureDiff, RingAllocationRefusedBuffersEverything) {
 /// structure and strictly under the replicated W-fold sum.
 TEST(SharedStructureDiff, SharedGraphMemoryCollapsesWFold) {
   progen::program_trace prog(racy_config(29));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
-  parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4);
-  parallel_detector rep =
-      run_parallel(prog, base_opts(dsr::backend_kind::graph), 4, {});
+  const serial_ref ref = run_serial(prog);
+  parallel_detector det = run_shared(prog, 4);
+  parallel_detector rep = run_parallel(prog, base_opts(), 4, {});
   const std::size_t shared_bytes = det.structure_bytes();
   const std::size_t replicated_bytes = rep.structure_bytes();
   EXPECT_GT(shared_bytes, 0u);
@@ -415,11 +394,10 @@ TEST(SharedStructureDiff, SharedGraphMemoryCollapsesWFold) {
 TEST(SharedStructureSafe, RaceFreeTracesStayClean) {
   for (const std::uint64_t seed : {3u, 17u, 59u}) {
     progen::program_trace prog(safe_config(seed));
-    const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+    const serial_ref ref = run_serial(prog);
     ASSERT_FALSE(ref.detected);
     for (const unsigned workers : {2u, 4u}) {
-      parallel_detector det =
-          run_shared(prog, dsr::backend_kind::graph, workers);
+      parallel_detector det = run_shared(prog, workers);
       expect_matches(det, ref, prog,
                      "seed=" + std::to_string(seed) +
                          " workers=" + std::to_string(workers));
@@ -429,7 +407,7 @@ TEST(SharedStructureSafe, RaceFreeTracesStayClean) {
 
 TEST(SharedStructureSafe, PerturbedSchedulesStayClean) {
   progen::program_trace prog(safe_config(23));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::depa);
+  const serial_ref ref = run_serial(prog);
   for (const std::uint64_t fault_seed : {2u, 8u}) {
     inject::fault_plan plan;
     plan.seed = fault_seed;
@@ -437,7 +415,7 @@ TEST(SharedStructureSafe, PerturbedSchedulesStayClean) {
     plan.yield_every = 2;
     inject::fault_injector inj(plan);
     inject::scoped_injector guard(inj);
-    parallel_detector det = run_shared(prog, dsr::backend_kind::depa, 4);
+    parallel_detector det = run_shared(prog, 4);
     expect_matches(det, ref, prog,
                    "fault_seed=" + std::to_string(fault_seed));
   }
@@ -445,13 +423,13 @@ TEST(SharedStructureSafe, PerturbedSchedulesStayClean) {
 
 TEST(SharedStructureSafe, WriterAndCheckerDeathStayClean) {
   progen::program_trace prog(safe_config(41));
-  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  const serial_ref ref = run_serial(prog);
   {
     inject::fault_plan plan;
     plan.pipe_structure_kill_at = 10;
     inject::fault_injector inj(plan);
     inject::scoped_injector guard(inj);
-    parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4);
+    parallel_detector det = run_shared(prog, 4);
     expect_matches(det, ref, prog, "writer-kill");
   }
   {
@@ -459,7 +437,7 @@ TEST(SharedStructureSafe, WriterAndCheckerDeathStayClean) {
     plan.pipe_kill_at = 10;
     inject::fault_injector inj(plan);
     inject::scoped_injector guard(inj);
-    parallel_detector det = run_shared(prog, dsr::backend_kind::graph, 4);
+    parallel_detector det = run_shared(prog, 4);
     expect_matches(det, ref, prog, "checker-kill");
   }
 }

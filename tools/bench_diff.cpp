@@ -41,7 +41,6 @@ enum class key_class {
   ignored,
   advisory_time,     // machine-dependent; gated only under --strict-time
   advisory_load,     // scheduling-dependent fill levels; never gated
-  advisory_backend,  // PRECEDE-backend label/frontier profile; never gated
   rate,
   counter,
   boolean,
@@ -104,13 +103,6 @@ key_class classify(const std::string& raw_key) {
   }
   // Speedup-vs-serial is wall-clock and worker-count dependent: advisory
   // like the other time keys (gated only under --strict-time).
-  // PRECEDE-backend comparison counters (label bytes/comparisons, frontier
-  // searches): these are the quantity being *compared across backends*, so a
-  // baseline recorded under one backend must not gate a run under another —
-  // a swing is surfaced for the reader, never a verdict.
-  if (contains(key, "label") || contains(key, "frontier")) {
-    return key_class::advisory_backend;
-  }
   if (contains(key, "ms") || contains(key, "time") || contains(key, "cpu") ||
       contains(key, "real") || contains(key, "slowdown") ||
       contains(key, "speedup") || contains(key, "per_second")) {
@@ -228,11 +220,6 @@ void diff_value(const std::string& path, const std::string& leaf_key,
                   delta_pct < -cfg.max_regress_pct;
       gated = false;
       break;
-    case key_class::advisory_backend:
-      regressed = delta_pct > cfg.max_regress_pct ||
-                  delta_pct < -cfg.max_regress_pct;
-      gated = false;
-      break;
     case key_class::rate:
       regressed = delta_pct < -cfg.max_regress_pct;  // fewer hits = worse
       break;
@@ -275,9 +262,6 @@ int report(const std::vector<finding>& findings,
     switch (f.cls) {
       case key_class::advisory_time: why = "slower"; break;
       case key_class::advisory_load: why = "load shifted"; break;
-      case key_class::advisory_backend:
-        why = "backend label profile shifted";
-        break;
       case key_class::rate: why = "hit rate dropped"; break;
       case key_class::counter: why = "counter grew"; break;
       case key_class::boolean: why = "flag flipped to false"; break;
@@ -362,18 +346,14 @@ int self_test() {
   expect(run(R"({"pipe_events": 1000})", R"({"pipe_events": 1500})") == 1,
          "pipeline event-count growth is gated");
 
-  // PRECEDE-backend comparison keys: baselines recorded under one backend
-  // must not gate a run under another, in either direction.
-  expect(run(R"({"label_bytes": 4096})", R"({"label_bytes": 40960})") == 0,
-         "label-byte growth is never gated");
-  expect(run(R"({"label_comparisons": 100})",
-             R"({"label_comparisons": 9000})") == 0,
-         "label-comparison growth is never gated");
-  expect(run(R"({"frontier_searches": 500})",
-             R"({"frontier_searches": 0})") == 0,
-         "frontier-search drop is never gated");
-  expect(run(R"({"max_label_len": 16})", R"({"max_label_len": 48})") == 0,
-         "max-label-length growth is never gated");
+  // PRECEDE search profile from bench/ablation_ntjoins: more label tests
+  // or frontier searches per query is more work per query.
+  expect(run(R"({"label_comparisons_per_query": 1.0})",
+             R"({"label_comparisons_per_query": 2.0})") == 1,
+         "label-comparison growth is gated");
+  expect(run(R"({"frontier_searches_per_query": 0.5})",
+             R"({"frontier_searches_per_query": 0.0})") == 0,
+         "frontier-search drop passes");
 
   // Parallel-detect keys from bench/table2 --exec=parallel-detect:
   // schedule-dependent transport volumes are advisory, wall-clock speedup

@@ -137,20 +137,7 @@ struct serial_run_opts {
   /// needs (a bare progen run spawns unjoined root asyncs that keep every
   /// spawn point non-quiescent until program end).
   bool two_phase = false;
-  /// options::precede_backend for the attached detector.
-  dsr::backend_kind backend = dsr::backend_kind::graph;
 };
-
-/// The PRECEDE-backend axis: each seed soaks one backend, rotated so a
-/// sweep covers all three. All of a seed's compared runs share the backend
-/// (the invariants under test are per-backend determinism/transparency, not
-/// cross-backend identity — backend_test owns that differential).
-dsr::backend_kind backend_for_seed(std::uint64_t seed) {
-  constexpr dsr::backend_kind kinds[] = {dsr::backend_kind::graph,
-                                         dsr::backend_kind::depa,
-                                         dsr::backend_kind::vector_clock};
-  return kinds[seed % 3];
-}
 
 /// Service-mode observables run_serial can harvest alongside the outcome.
 struct serial_run_extra {
@@ -175,8 +162,7 @@ outcome run_serial(exec_mode mode, progen::random_program& prog,
     guard = std::make_unique<inject::scoped_injector>(*inj);
   }
   detect::race_detector det({.epoch_reset_interval = sopts.epoch_interval,
-                             .suppressions = sopts.suppressions,
-                             .precede_backend = sopts.backend});
+                             .suppressions = sopts.suppressions});
   runtime rt({.mode = mode});
   if (mode == exec_mode::serial_dfs) rt.add_observer(&det);
   if (sopts.two_phase) {
@@ -267,15 +253,12 @@ void soak_serial_seed(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.max_tasks = 120;
   progen::random_program prog(cfg);
-  const dsr::backend_kind backend = backend_for_seed(seed);
 
   // Uninstrumented baseline, then the empty-plan passivity check.
-  const outcome base =
-      run_serial(exec_mode::serial_dfs, prog, nullptr, {.backend = backend});
+  const outcome base = run_serial(exec_mode::serial_dfs, prog, nullptr);
   inject::fault_plan empty;
   empty.seed = seed;
-  const outcome with_empty =
-      run_serial(exec_mode::serial_dfs, prog, &empty, {.backend = backend});
+  const outcome with_empty = run_serial(exec_mode::serial_dfs, prog, &empty);
   if (!outcomes_equal(base, with_empty)) {
     fail(seed, "passivity",
          "empty plan changed the run: " + describe(base) + " vs " +
@@ -284,11 +267,9 @@ void soak_serial_seed(std::uint64_t seed) {
 
   // The seed's real plan: determinism across repeated DFS runs.
   const inject::fault_plan plan = serial_plan_for(seed);
-  const outcome first =
-      run_serial(exec_mode::serial_dfs, prog, &plan, {.backend = backend});
+  const outcome first = run_serial(exec_mode::serial_dfs, prog, &plan);
   check_cleanup(seed, exec_mode::serial_dfs, "serial-cleanup");
-  const outcome second =
-      run_serial(exec_mode::serial_dfs, prog, &plan, {.backend = backend});
+  const outcome second = run_serial(exec_mode::serial_dfs, prog, &plan);
   if (!outcomes_equal(first, second)) {
     fail(seed, "determinism",
          plan.describe() + ": " + describe(first) + " vs " + describe(second));
@@ -299,8 +280,7 @@ void soak_serial_seed(std::uint64_t seed) {
   // faults are exempt from the stats comparison only in that elision has no
   // detector — but shadow degradation never aborts the program, so stats
   // still agree.
-  const outcome elision =
-      run_serial(exec_mode::serial_elision, prog, &plan, {.backend = backend});
+  const outcome elision = run_serial(exec_mode::serial_elision, prog, &plan);
   if (elision.completed != first.completed ||
       elision.error_kind != first.error_kind ||
       !stats_equal(elision.stats, first.stats)) {
@@ -340,9 +320,8 @@ void soak_serial_seed(std::uint64_t seed) {
     return;
   }
   serial_run_extra supx;
-  const outcome suppressed =
-      run_serial(exec_mode::serial_dfs, prog, nullptr,
-                 {.suppressions = &wildcard, .backend = backend}, &supx);
+  const outcome suppressed = run_serial(exec_mode::serial_dfs, prog, nullptr,
+                                        {.suppressions = &wildcard}, &supx);
   if (!outcomes_equal(suppressed, base)) {
     fail(seed, "suppression-transparency",
          "wildcard suppressions changed the run: " + describe(base) + " vs " +
@@ -365,12 +344,11 @@ void soak_serial_seed(std::uint64_t seed) {
   // schedule-stability caveat the pipelined soak applies to alloc plans).
   if (plan.fail_alloc_at == 0) {
     serial_run_extra off_x, on_x;
-    const outcome epoch_off =
+    const outcome epoch_off = run_serial(exec_mode::serial_dfs, prog, &plan,
+                                         {.two_phase = true}, &off_x);
+    const outcome epoch_on =
         run_serial(exec_mode::serial_dfs, prog, &plan,
-                   {.two_phase = true, .backend = backend}, &off_x);
-    const outcome epoch_on = run_serial(
-        exec_mode::serial_dfs, prog, &plan,
-        {.epoch_interval = 16, .two_phase = true, .backend = backend}, &on_x);
+                   {.epoch_interval = 16, .two_phase = true}, &on_x);
     if (!outcomes_equal(epoch_off, epoch_on)) {
       fail(seed, "epoch-transparency",
            plan.describe() + ": " + describe(epoch_off) + " vs " +
@@ -389,14 +367,13 @@ void soak_serial_seed(std::uint64_t seed) {
   epoch_throw.seed = seed;
   epoch_throw.throw_at_epoch_reset = 1 + static_cast<std::uint32_t>(seed % 3);
   serial_run_extra throw_x, throw_x2;
-  const outcome throw_first = run_serial(
-      exec_mode::serial_dfs, prog, &epoch_throw,
-      {.epoch_interval = 16, .two_phase = true, .backend = backend}, &throw_x);
+  const outcome throw_first =
+      run_serial(exec_mode::serial_dfs, prog, &epoch_throw,
+                 {.epoch_interval = 16, .two_phase = true}, &throw_x);
   check_cleanup(seed, exec_mode::serial_dfs, "epoch-throw-cleanup");
-  const outcome throw_second = run_serial(
-      exec_mode::serial_dfs, prog, &epoch_throw,
-      {.epoch_interval = 16, .two_phase = true, .backend = backend},
-      &throw_x2);
+  const outcome throw_second =
+      run_serial(exec_mode::serial_dfs, prog, &epoch_throw,
+                 {.epoch_interval = 16, .two_phase = true}, &throw_x2);
   if (!outcomes_equal(throw_first, throw_second)) {
     fail(seed, "epoch-throw-determinism",
          epoch_throw.describe() + ": " + describe(throw_first) + " vs " +
@@ -572,13 +549,11 @@ inject::fault_plan pipe_plan_for(std::uint64_t seed) {
 pipe_run run_pipelined(progen::random_program& prog, unsigned threads,
                        std::size_t ring_capacity,
                        std::size_t epoch_interval = 0,
-                       bool two_phase = false,
-                       dsr::backend_kind backend = dsr::backend_kind::graph) {
+                       bool two_phase = false) {
   pipe_run r;
   detect::race_detector::options opts;
   opts.detect_threads = threads;
   opts.epoch_reset_interval = epoch_interval;
-  opts.precede_backend = backend;
   detect::pipelined_detector det(opts, {.ring_capacity = ring_capacity});
   runtime rt({.mode = exec_mode::serial_dfs});
   rt.add_observer(&det);
@@ -613,12 +588,10 @@ void soak_pipelined_seed(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.max_tasks = 120;
   progen::random_program prog(cfg);
-  const dsr::backend_kind backend = backend_for_seed(seed);
 
   // Inline reference (detect_threads = 0): the verdict every pipelined run
   // must reproduce exactly.
-  const pipe_run ref =
-      run_pipelined(prog, 0, std::size_t{1} << 12, 0, false, backend);
+  const pipe_run ref = run_pipelined(prog, 0, std::size_t{1} << 12);
   if (ref.pipelined) {
     fail(seed, "pipe-inline-ref", "detect_threads=0 spawned checker threads");
     return;
@@ -632,7 +605,7 @@ void soak_pipelined_seed(std::uint64_t seed) {
   pipe_run run;
   {
     inject::scoped_injector guard(inj);
-    run = run_pipelined(prog, 4, ring, 0, false, backend);
+    run = run_pipelined(prog, 4, ring);
   }
   const auto fired = inj.snapshot();
   const std::string ctx =
@@ -705,13 +678,13 @@ void soak_pipelined_seed(std::uint64_t seed) {
   // racy variables, and paper counters must match an inline, no-reset run of
   // the identical stream — including when the plan kills a checker mid-run.
   const pipe_run epoch_ref = run_pipelined(prog, 0, std::size_t{1} << 12, 0,
-                                           /*two_phase=*/true, backend);
+                                           /*two_phase=*/true);
   inject::fault_injector epoch_inj(plan);
   pipe_run epoch_run;
   {
     inject::scoped_injector guard(epoch_inj);
     epoch_run = run_pipelined(prog, 4, ring, /*epoch_interval=*/16,
-                              /*two_phase=*/true, backend);
+                              /*two_phase=*/true);
   }
   if (epoch_run.detected != epoch_ref.detected ||
       epoch_run.race_count != epoch_ref.race_count) {
@@ -784,11 +757,8 @@ inject::fault_plan pardetect_plan_for(std::uint64_t seed) {
 }
 
 pardetect_run run_pardetect(progen::program_trace& prog, unsigned workers,
-                            std::size_t ring_capacity,
-                            dsr::backend_kind backend) {
-  detect::race_detector::options opts;
-  opts.precede_backend = backend;
-  detect::parallel_detector det(opts, {.ring_capacity = ring_capacity});
+                            std::size_t ring_capacity) {
+  detect::parallel_detector det({}, {.ring_capacity = ring_capacity});
   runtime rt({.mode = exec_mode::parallel_detect, .workers = workers});
   rt.add_parallel_sink(&det);
   rt.run([&prog] { prog(); });
@@ -802,18 +772,33 @@ pardetect_run run_pardetect(progen::program_trace& prog, unsigned workers,
   return r;
 }
 
+// A racy trace's accesses race for real on the work-stealing engine, and
+// ThreadSanitizer reports every one of them; TSan builds soak race-free
+// traces instead (the racy axis runs in every other build).
+#if defined(__SANITIZE_THREAD__)
+constexpr bool k_race_free_traces = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr bool k_race_free_traces = true;
+#else
+constexpr bool k_race_free_traces = false;
+#endif
+#else
+constexpr bool k_race_free_traces = false;
+#endif
+
 void soak_pardetect_seed(std::uint64_t seed) {
   progen::trace_config cfg;
   cfg.seed = seed;
   cfg.max_tasks = 120;
+  cfg.race_free = k_race_free_traces;
   progen::program_trace prog(cfg);
-  const dsr::backend_kind backend = backend_for_seed(seed);
 
   // Serial inline reference of the same frozen trace: the verdict every
   // parallel-detect schedule must reproduce exactly.
   pardetect_run ref;
   {
-    detect::race_detector det({.precede_backend = backend});
+    detect::race_detector det;
     runtime rt({.mode = exec_mode::serial_dfs});
     rt.add_observer(&det);
     rt.run([&prog] { prog(); });
@@ -832,7 +817,7 @@ void soak_pardetect_seed(std::uint64_t seed) {
   pardetect_run run;
   {
     inject::scoped_injector guard(inj);
-    run = run_pardetect(prog, workers, ring, backend);
+    run = run_pardetect(prog, workers, ring);
   }
   const auto fired = inj.snapshot();
   const std::string ctx = plan.describe() + " workers=" +
