@@ -1,8 +1,9 @@
 // Micro-benchmarks for the runtime substrate: construct overheads in each
-// execution mode and the SPSC detection ring.
+// execution mode, the SPSC detection ring, and thread start/join.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "futrace/detect/race_detector.hpp"
 #include "futrace/runtime/runtime.hpp"
 #include "futrace/support/spsc_ring.hpp"
+#include "futrace/support/thread_pool.hpp"
 
 namespace {
 
@@ -162,6 +164,40 @@ void BM_ParallelSpawnOverhead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTasksPerRun);
 }
 BENCHMARK(BM_ParallelSpawnOverhead)->UseRealTime();
+
+// Thread lifecycle per detection run: a pipelined run at detect_threads = 3
+// starts and joins three checker bodies. Creating and joining three OS
+// threads is what every run paid before the pool; the pool
+// (support/thread_pool.hpp) wakes three parked threads and collects them.
+constexpr int kRunThreads = 3;
+
+void BM_ThreadStartJoin(benchmark::State& state) {
+  std::atomic<int> ran{0};
+  for (auto _ : state) {
+    std::array<std::thread, kRunThreads> threads;
+    for (std::thread& t : threads) {
+      t = std::thread([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  benchmark::DoNotOptimize(ran.load());
+  state.SetItemsProcessed(state.iterations() * kRunThreads);
+}
+BENCHMARK(BM_ThreadStartJoin)->UseRealTime();
+
+void BM_PooledThreadStartJoin(benchmark::State& state) {
+  std::atomic<int> ran{0};
+  std::array<support::pooled_thread, kRunThreads> threads;
+  for (auto _ : state) {
+    for (support::pooled_thread& t : threads) {
+      t.start([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    for (support::pooled_thread& t : threads) t.join();
+  }
+  benchmark::DoNotOptimize(ran.load());
+  state.SetItemsProcessed(state.iterations() * kRunThreads);
+}
+BENCHMARK(BM_PooledThreadStartJoin)->UseRealTime();
 
 // SPSC transport cost per item against a continuously-draining consumer:
 // arg 0 publishes every item with its own release store (one cache-line

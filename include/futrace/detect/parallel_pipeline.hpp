@@ -41,12 +41,16 @@
 /// the stream arrives in DFS order already, and each event is applied as
 /// it is drained.
 ///
+/// Checkers (and the shared-structure writer) run on threads from the
+/// process-wide pool (support/thread_pool.hpp), as do the engine's workers
+/// 1..P-1: a run after the first creates no OS thread.
+///
 /// Failure model: a full ring backpressures the emitting worker; a checker
-/// that dies (fault injection, thread-start or ring-allocation failure)
-/// flips its shard to spill mode — producers buffer that shard's events
-/// locally (still single-producer), and the finalize step drains
-/// ring-then-spill per producer and finishes the replay inline on the main
-/// thread. Sticky, counted, never a lost event.
+/// that dies (fault injection, the pool failing to create a thread for it,
+/// or a refused ring allocation) flips its shard to spill mode — producers
+/// buffer that shard's events locally (still single-producer), and the
+/// finalize step drains ring-then-spill per producer and finishes the
+/// replay inline on the main thread. Sticky, counted, never a lost event.
 /// options::fail_fast is forced off (the first-race throw is only
 /// meaningful on the execution thread of a serial run).
 ///
@@ -118,11 +122,11 @@ enum class structure_mode : std::uint8_t {
 
 /// The parallel_sink implementation: attach with runtime::add_parallel_sink
 /// under {.mode = exec_mode::parallel_detect, .workers = P}, query results
-/// after run() returns (queries finalize: join checkers, finish the replay,
-/// merge shards). pipelined_detector drives one as producer 0. reports()
-/// does not depend on the schedule: replicated mode merges by serial
-/// position (the inline report sequence), shared mode sorts canonically
-/// (race_report.hpp).
+/// after run() returns (queries finalize: wait for the checker bodies,
+/// finish the replay, merge shards). pipelined_detector drives one as
+/// producer 0. reports() does not depend on the schedule: replicated mode
+/// merges by serial position (the inline report sequence), shared mode
+/// sorts canonically (race_report.hpp).
 class parallel_detector final : public detail::parallel_sink {
  public:
   struct tuning {

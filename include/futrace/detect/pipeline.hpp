@@ -21,6 +21,9 @@
 /// broadcast to every checker; access events are routed to exactly one by
 /// address. A single producer's stream already is the serial depth-first
 /// order, so each checker's replayer applies every event as it arrives.
+/// The checkers run on threads from the process-wide pool
+/// (support/thread_pool.hpp): a run wakes parked threads rather than
+/// creating them, and each returns to the pool when its checker finishes.
 ///
 /// Determinism: per-location verdicts are exactly the inline detector's
 /// (one checker sees all accesses of a location, in serial order, against
@@ -33,11 +36,11 @@
 ///
 /// Failure model: a full ring means backpressure (the producer spins),
 /// never allocation or drops. A checker that dies mid-run (fault
-/// injection, thread-start failure) has its events spilled by the
-/// producer and replayed at finalize — sticky and counted, never a
-/// deadlock or a lost event. options::fail_fast and a refused ring
-/// allocation force inline mode: the first race must throw at the faulting
-/// access on the execution thread.
+/// injection, or the pool could not create a thread for it) has its
+/// events spilled by the producer and replayed at finalize — sticky and
+/// counted, never a deadlock or a lost event. options::fail_fast and a
+/// refused ring allocation force inline mode: the first race must throw at
+/// the faulting access on the execution thread.
 
 #include <cstdint>
 #include <memory>
@@ -94,7 +97,8 @@ struct pipeline_stats {
 /// Drop-in replacement for attaching a race_detector directly: construct
 /// with options whose detect_threads selects inline (0) or pipelined (N)
 /// checking, attach to the runtime, query results after run(). Queries
-/// finalize the pipeline (join checkers, merge shards) on first use.
+/// finalize the pipeline (wait for the checker bodies, merge shards) on
+/// first use.
 class pipelined_detector final : public execution_observer {
  public:
   struct tuning {

@@ -17,6 +17,7 @@
 #include "futrace/obs/trace.hpp"
 #include "futrace/support/alloc_gate.hpp"
 #include "futrace/support/assert.hpp"
+#include "futrace/support/thread_pool.hpp"
 
 namespace futrace::detect {
 
@@ -472,7 +473,7 @@ struct parallel_detector::impl {
     std::unique_ptr<race_detector> det;
     std::unique_ptr<dfs_replayer> rp;
     std::vector<std::unique_ptr<event_ring>> rings;  // one per producer
-    std::thread thread;
+    support::pooled_thread thread;
     /// Set (release) by the checker on a kill fault or an escaped
     /// exception; producers poll it (acquire) and spill from then on.
     std::atomic<bool> dead{false};
@@ -502,7 +503,7 @@ struct parallel_detector::impl {
     std::unique_ptr<race_detector> owner;
     std::unique_ptr<dfs_replayer> rp;
     std::vector<std::unique_ptr<event_ring>> rings;  // one per producer
-    std::thread thread;
+    support::pooled_thread thread;
     bool thread_started = false;
     /// Set (release) when the writer dies (fault injection, escaped
     /// exception, failed thread start); producers spill structure events
@@ -1642,7 +1643,7 @@ void parallel_detector::begin(unsigned workers) {
     try {
       // Capture the impl, not `this`: the detector shell may be moved
       // while checkers run; the impl's address is stable.
-      c.thread = std::thread([im_ptr = &im, &c] {
+      c.thread.start([im_ptr = &im, &c] {
         try {
           if (im_ptr->shared) {
             im_ptr->checker_loop_shared(c);
@@ -1657,7 +1658,8 @@ void parallel_detector::begin(unsigned workers) {
       });
       c.thread_started = true;
     } catch (...) {
-      // Thread-start failure: dead from the start, counted like a death.
+      // The pool could not create a thread: dead from the start, counted
+      // like a death.
       c.dead.store(true, std::memory_order_relaxed);
       c.thread_started = true;
     }
@@ -1669,7 +1671,7 @@ void parallel_detector::begin(unsigned workers) {
       sh.rings.push_back(std::make_unique<event_ring>(cap));
     }
     try {
-      sh.thread = std::thread([im_ptr = &im] {
+      sh.thread.start([im_ptr = &im] {
         try {
           im_ptr->writer_loop();
         } catch (...) {

@@ -58,6 +58,7 @@
 #include "futrace/runtime/parallel_sink.hpp"
 #include "futrace/support/assert.hpp"
 #include "futrace/support/reentry.hpp"
+#include "futrace/support/thread_pool.hpp"
 
 namespace futrace::detail {
 
@@ -93,7 +94,7 @@ class parallel_engine final : public engine {
     running_ = true;
     done_.store(false, std::memory_order_relaxed);
     for (unsigned i = 1; i < worker_count_; ++i) {
-      workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
+      workers_[i]->thread.start([this, i] { worker_loop(i); });
     }
     // The calling thread is worker 0 and executes main() (task 0) directly.
     tls_ = tl_state{this, 0, nullptr, 0};
@@ -439,7 +440,7 @@ class parallel_engine final : public engine {
 
   struct worker {
     task_queue queue;
-    std::thread thread;
+    support::pooled_thread thread;
   };
 
   struct tl_state {
@@ -619,6 +620,8 @@ class parallel_engine final : public engine {
         std::this_thread::yield();
       }
     }
+    // The thread is a pooled one (support/thread_pool.hpp) and runs other
+    // bodies after this one: leave it as it was found.
     ctx() = context{};
     tls_ = tl_state{};
   }

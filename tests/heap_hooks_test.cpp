@@ -17,10 +17,12 @@
 #include <cstdlib>
 #include <vector>
 
+#include "futrace/detect/parallel_pipeline.hpp"
 #include "futrace/detect/race_detector.hpp"
 #include "futrace/hook/heap_hooks.hpp"
 #include "futrace/runtime/runtime.hpp"
 #include "futrace/runtime/shared_regions.hpp"
+#include "futrace/support/thread_pool.hpp"
 
 #ifndef FUTRACE_TEST_EXPECT_INTERPOSE
 #error "CMake must define FUTRACE_TEST_EXPECT_INTERPOSE for this test"
@@ -166,6 +168,28 @@ TEST_F(HeapHooks, RegistrationRequiresInstrumentedContext) {
     hook::note_alloc(buf, sizeof(buf));  // layer disarmed
   });
   EXPECT_EQ(hook::stats().blocks_registered, 0u);
+}
+
+/// A parallel-detect run that has to create pool threads (engine worker 1
+/// starts from inside the instrumented run) must not leave the pool's
+/// slots and thread states behind as program blocks: they live as long as
+/// the process and are never freed.
+TEST_F(HeapHooks, PoolThreadsAreNotProgramBlocks) {
+  hook::set_heap_instrumentation(true);
+  const std::uint64_t created = support::pool_threads_created();
+  {
+    detect::parallel_detector::tuning tune;
+    tune.checkers = 2;
+    detect::parallel_detector det(detect::race_detector::options{}, tune);
+    runtime rt({.mode = exec_mode::parallel_detect, .workers = 2});
+    rt.add_parallel_sink(&det);
+    rt.run([] {});
+    EXPECT_FALSE(det.race_detected());
+  }
+  ASSERT_GT(support::pool_threads_created(), created)
+      << "the run must create pool threads for this test to mean anything";
+  EXPECT_EQ(hook::live_blocks(), 0u);
+  hook::set_heap_instrumentation(false);
 }
 
 TEST_F(HeapHooks, ReallocMigratesIdentity) {
