@@ -1,5 +1,6 @@
 // Micro-benchmarks for the runtime substrate: construct overheads in each
-// execution mode, the SPSC detection ring, and thread start/join.
+// execution mode, the detection ring and the pipelined transport, and
+// thread start/join.
 
 #include <benchmark/benchmark.h>
 
@@ -7,12 +8,14 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <vector>
 
 #include "bench_main.hpp"
 
+#include "futrace/detect/pipeline.hpp"
 #include "futrace/detect/race_detector.hpp"
 #include "futrace/runtime/runtime.hpp"
-#include "futrace/support/spsc_ring.hpp"
+#include "futrace/support/broadcast_ring.hpp"
 #include "futrace/support/thread_pool.hpp"
 
 namespace {
@@ -199,32 +202,38 @@ void BM_PooledThreadStartJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_PooledThreadStartJoin)->UseRealTime();
 
-// SPSC transport cost per item against a continuously-draining consumer:
-// arg 0 publishes every item with its own release store (one cache-line
-// ping-pong with the consumer per item); arg 1 stages items and lets the
-// ring publish them k_publish_batch at a time, flushing only before a wait
-// for space — the discipline both detector transports use.
+// Ring transport cost per item against continuously-draining consumers:
+// arg 0 selects per-item publish (0: one release store per item, one
+// cache-line ping-pong with the consumers per item) or staged publish (1:
+// the ring publishes k_publish_batch items at a time, flushing only before
+// a wait for space — the discipline the detector transport uses); arg 1
+// is the number of consumers, each of which reads every item.
 void BM_RingPublishBatch(benchmark::State& state) {
   const bool staged = state.range(0) != 0;
-  support::spsc_ring<std::uint64_t> ring(std::size_t{1} << 10);
+  const auto consumers = static_cast<unsigned>(state.range(1));
+  support::broadcast_ring<std::uint64_t> ring(std::size_t{1} << 10,
+                                              consumers);
   std::atomic<bool> stop{false};
-  std::thread consumer([&] {
-    std::uint64_t sum = 0;
-    for (;;) {
-      const std::size_t n = ring.readable_refresh();
-      if (n == 0) {
-        if (stop.load(std::memory_order_acquire) &&
-            ring.readable_refresh() == 0) {
-          break;
+  std::vector<std::thread> readers;
+  for (unsigned c = 0; c < consumers; ++c) {
+    readers.emplace_back([&ring, &stop, c] {
+      std::uint64_t sum = 0;
+      for (;;) {
+        const std::size_t n = ring.readable_refresh(c);
+        if (n == 0) {
+          if (stop.load(std::memory_order_acquire) &&
+              ring.readable_refresh(c) == 0) {
+            break;
+          }
+          std::this_thread::yield();
+          continue;
         }
-        std::this_thread::yield();
-        continue;
+        for (std::size_t i = 0; i < n; ++i) sum += ring.consume_slot(c, i);
+        ring.pop(c, n);
       }
-      for (std::size_t i = 0; i < n; ++i) sum += ring.consume_slot(i);
-      ring.pop(n);
-    }
-    benchmark::DoNotOptimize(sum);
-  });
+      benchmark::DoNotOptimize(sum);
+    });
+  }
   std::uint64_t items = 0;
   for (auto _ : state) {
     if (ring.free_slots() == 0) {
@@ -241,10 +250,60 @@ void BM_RingPublishBatch(benchmark::State& state) {
   }
   ring.flush();
   stop.store(true, std::memory_order_release);
-  consumer.join();
+  for (std::thread& t : readers) t.join();
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
 }
-BENCHMARK(BM_RingPublishBatch)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_RingPublishBatch)
+    ->ArgNames({"staged", "consumers"})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({0, 3})
+    ->Args({1, 3})
+    ->UseRealTime();
+
+// The pipelined detector end to end on crypt's per-task shape: the root
+// spawns 4,096 future tasks, each reading and writing one 8-byte block
+// with one bulk access apiece and stored into a handle array; the root then
+// reads the handles in bulk and gets every future. serial_dfs executes it,
+// three checker threads check it. Reports nanoseconds per wire event
+// (ns_per_event, printed in seconds with an SI prefix).
+void BM_PipelinedCryptShape(benchmark::State& state) {
+  constexpr std::size_t kTasks = 4096;
+  shared_array<std::uint8_t> input(kTasks * 8);
+  shared_array<std::uint8_t> output(kTasks * 8);
+  shared_array<future<void>> handles(kTasks);
+  auto body = [&] {
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      handles.write(t, async_future([&input, &output, t] {
+        const auto src = input.read_range(t * 8, 8);
+        const auto dst = output.write_range(t * 8, 8);
+        for (std::size_t i = 0; i < 8; ++i) {
+          dst[i] = static_cast<std::uint8_t>(src[i] ^ 0x5A);
+        }
+      }));
+    }
+    const auto hs = handles.read_range(0, kTasks);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      future<void> f = hs[t];
+      f.get();
+    }
+  };
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    detect::pipelined_detector det({.detect_threads = 3});
+    runtime rt({.mode = exec_mode::serial_dfs});
+    rt.add_observer(&det);
+    rt.run(body);
+    benchmark::DoNotOptimize(det.race_detected());
+    events += det.pipe_stats().events;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["ns_per_event"] =
+      benchmark::Counter(static_cast<double>(events),
+                         benchmark::Counter::kIsRate |
+                             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PipelinedCryptShape)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

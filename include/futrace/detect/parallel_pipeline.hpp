@@ -8,19 +8,21 @@
 /// serial engine through a thin translating observer. This is futrace's
 /// only concurrent transport:
 ///
-///   engine workers (P threads)             shard checkers (W threads)
-///   --------------------------             --------------------------
-///   worker 0: execute + emit  ──ring(0,0)──►  checker 0: demux by pid,
-///   worker 1: execute + emit  ──ring(1,0)──►    replay serial DFS order,
-///       ...                        ...          race_detector replica
-///                             ──ring(p,w)──►  checker w: shadow shard w
+///   engine workers (P threads)            shard checkers (W threads)
+///   --------------------------            --------------------------
+///   worker 0: execute + emit ──ring 0──┬─►  checker 0: demux by pid,
+///   worker 1: execute + emit ──ring 1──┼─►    replay serial DFS order,
+///       ...                     ...    │      race_detector replica
+///                                      └─►  checker w: shadow shard w
 ///
-/// Every (worker, checker) pair owns one bounded SPSC ring — P×W rings, each
-/// strictly single-producer single-consumer. Graph-structure events (spawn,
-/// task end, finish, get, put) are broadcast to all W of the emitting
-/// worker's rings; access events are canonicalized producer-side (span_of
-/// against the live element geometry) and routed to the owning shard, range
-/// events split at chunk boundaries into per-owner sub-events.
+/// Every producer owns one bounded support::broadcast_ring, and every
+/// checker reads every ring with its own head — P rings per run, each
+/// event written once. Graph-structure events (spawn, task end, finish,
+/// get, put) are read by every checker; access events are canonicalized
+/// producer-side (span_of against the live element geometry) and split at
+/// chunk boundaries into per-owner sub-events, and each checker skips the
+/// accesses another shard owns. A slot is overwritten only after every
+/// consumer has retired it.
 ///
 /// Per-ring FIFO order is not a global epoch barrier: P streams interleave
 /// arbitrarily. The merge key is *DAG position* — every event carries its
@@ -45,30 +47,32 @@
 /// process-wide pool (support/thread_pool.hpp), as do the engine's workers
 /// 1..P-1: a run after the first creates no OS thread.
 ///
-/// Failure model: a full ring backpressures the emitting worker; a checker
-/// that dies (fault injection, the pool failing to create a thread for it,
-/// or a refused ring allocation) flips its shard to spill mode — producers
-/// buffer that shard's events locally (still single-producer), and the
-/// finalize step drains ring-then-spill per producer and finishes the
-/// replay inline on the main thread. Sticky, counted, never a lost event.
-/// options::fail_fast is forced off (the first-race throw is only
-/// meaningful on the execution thread of a serial run).
+/// Failure model: a full ring backpressures its producer; a checker that
+/// dies (fault injection, or the pool failing to create a thread for it)
+/// hands its heads to the producers, which move its unread events, in
+/// order, to a spill whenever the ring would overwrite them — so a dead
+/// checker never blocks a producer. Finalize replays each dead checker's
+/// spill, then what is left of it in the rings, inline on the main
+/// thread. A refused ring allocation spills everything (buffer mode).
+/// Sticky, counted, never a lost event. options::fail_fast is forced off
+/// (the first-race throw is only meaningful on the execution thread of a
+/// serial run).
 ///
 /// structure_mode::shared (DESIGN.md §15) replaces the per-checker graph
 /// replicas with ONE reachability graph owned by a dedicated single-writer
-/// structure thread. Producers route structure events to that thread alone
-/// (P structure rings instead of a P×W broadcast); it applies them in
-/// serial DFS-replay order and publishes a monotonically increasing
-/// *admitted position*. Checkers consume only access events, each tagged
-/// with its per-pid structure ordinal, wait until the admitted position
-/// covers the access's structural prerequisites, and then issue PRECEDE
-/// queries against the shared graph under one structure mutex.
-/// The writer applies the next structure event only once every shard has
-/// finished the current run, so readers never observe a partially-applied
-/// structure event and epoch compaction stays writer-side, fenced by the
-/// admitted position. Structure CPU drops from W× to 1× and graph RSS from
-/// W replicas to one; verdicts, reports, and paper counters remain
-/// bit-identical to the serial inline run.
+/// structure thread, which reads every ring as consumer W and skips its
+/// accesses. It applies structure events in serial DFS-replay order and
+/// publishes a monotonically increasing *admitted position*. Checkers
+/// apply only access events, each tagged with its pid's structure ordinal
+/// (which every checker counts itself, since it sees every event of the
+/// ring), wait until the admitted position covers the access's structural
+/// prerequisites, and then issue PRECEDE queries against the shared graph
+/// under one structure mutex. The writer applies the next structure event
+/// only once every shard has finished the current run, so readers never
+/// observe a partially-applied structure event and epoch compaction stays
+/// writer-side, fenced by the admitted position. Structure CPU drops from
+/// W× to 1× and graph RSS from W replicas to one; verdicts, reports, and
+/// paper counters remain bit-identical to the serial inline run.
 
 #include <cstdint>
 #include <memory>
@@ -87,7 +91,9 @@ namespace futrace::detect {
 struct parallel_pipeline_stats {
   unsigned exec_workers = 0;  // P: engine workers that emitted
   unsigned checkers = 0;      // W: shard checker threads
-  /// Events buffered producer-side because the shard's checker was dead.
+  /// Events a producer moved out of its ring for a consumer that will not
+  /// read it again (a dead checker or writer), or buffered because no ring
+  /// was allocated; one per consumer copy.
   std::uint64_t spilled_events = 0;
   /// Get edges skipped because their producer had no serial position yet
   /// at the get's replay point (a schedule serial DFS cannot realize; the
@@ -96,8 +102,9 @@ struct parallel_pipeline_stats {
   /// Events left unadmitted when EOF unwind closed the replay (only after
   /// a program error left the stream unbalanced).
   std::uint64_t dropped_events = 0;
-  /// Events replayed inline on the main thread at finalize (takeover after
-  /// checker death or spill mode).
+  /// Events applied inline on the main thread at finalize (takeover after
+  /// checker death or spill mode): those the dead consumer would have
+  /// applied, not the ones it would have skipped.
   std::uint64_t takeover_events = 0;
   /// Structure events applied by the shared-structure writer (zero under
   /// structure_mode::replicated).
@@ -130,7 +137,8 @@ enum class structure_mode : std::uint8_t {
 class parallel_detector final : public detail::parallel_sink {
  public:
   struct tuning {
-    /// Slots per (worker, checker) ring, rounded up to a power of two.
+    /// Slots per producer ring, rounded up to a power of two. 16Ki
+    /// 32-byte slots = 512 KiB per ring.
     std::size_t ring_capacity = std::size_t{1} << 14;
     /// Shard checker threads (W). 0 means "match the engine workers".
     unsigned checkers = 0;

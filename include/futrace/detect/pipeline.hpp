@@ -5,11 +5,11 @@
 /// with race checking instead of paying the full detector on the execution
 /// thread.
 ///
-///   execution thread                      checker threads (W)
-///   ----------------                      -------------------
-///   run program, observe events  ──ring 0──►  checker 0: DFS replay into
-///   translate to the parallel    ──ring 1──►  checker 1:   graph replica +
-///   wire, span_of + routing          ...                  shadow shard
+///   execution thread                     checker threads (W)
+///   ----------------                     -------------------
+///   run program, observe events  ──ring──┬─►  checker 0: DFS replay into
+///   translate to the parallel wire,      ├─►  checker 1:   graph replica +
+///   span_of + chunk split                └─►     ...       shadow shard
 ///
 /// This is the one-producer case of parallel-detect (parallel_pipeline.hpp,
 /// DESIGN.md §10 and §14): pipelined_detector is a thin observer that
@@ -17,10 +17,12 @@
 /// it, as producer 0, to a replicated parallel_detector with W =
 /// detect_threads checkers. Every checker owns a complete private
 /// race_detector — its own reachability-graph replica and a shadow memory
-/// clipped to the address chunks it owns (shard.hpp). Structure events are
-/// broadcast to every checker; access events are routed to exactly one by
-/// address. A single producer's stream already is the serial depth-first
-/// order, so each checker's replayer applies every event as it arrives.
+/// clipped to the address chunks it owns (shard.hpp). The producer writes
+/// each event once into one ring that every checker reads: every checker
+/// replays the structure events, and exactly one applies each access, by
+/// address, while the others skip it. A single producer's stream already
+/// is the serial depth-first order, so each checker's replayer applies
+/// every event as it arrives.
 /// The checkers run on threads from the process-wide pool
 /// (support/thread_pool.hpp): a run wakes parked threads rather than
 /// creating them, and each returns to the pool when its checker finishes.
@@ -36,8 +38,9 @@
 ///
 /// Failure model: a full ring means backpressure (the producer spins),
 /// never allocation or drops. A checker that dies mid-run (fault
-/// injection, or the pool could not create a thread for it) has its
-/// events spilled by the producer and replayed at finalize — sticky and
+/// injection, or the pool could not create a thread for it) no longer
+/// holds the ring: the producer moves its unread events to a spill before
+/// overwriting them, and finalize replays spill then ring — sticky and
 /// counted, never a deadlock or a lost event. options::fail_fast and a
 /// refused ring allocation force inline mode: the first race must throw at
 /// the faulting access on the execution thread.
@@ -59,12 +62,14 @@ struct pipeline_stats {
   std::uint64_t workers = 0;        // checker threads actually started
   std::uint64_t ring_capacity = 0;  // slots per ring (rounded to pow2)
   std::uint64_t events = 0;         // wire events streamed
-  std::uint64_t access_events = 0;  // subset routed by address
-  /// Extra sub-events minted when a range access straddled chunk owners.
+  std::uint64_t access_events = 0;  // subset applied by one shard
+  /// Extra sub-events minted when a range access straddled chunk owners,
+  /// or had a stride too wide for the wire (sent element by element).
   std::uint64_t split_subevents = 0;
   /// Producer spins while a ring was full (the backpressure path).
   std::uint64_t backpressure_waits = 0;
-  /// Ring fill-level sampling (every 64th push), for the Pipe% column.
+  /// Ring fill-level sampling (every 64th slot), for the Pipe% column: the
+  /// published slots the slowest consumer has not retired.
   std::uint64_t occupancy_samples = 0;
   std::uint64_t occupancy_sum = 0;
   /// Events replayed on the main thread at finalize after a checker died
@@ -73,14 +78,16 @@ struct pipeline_stats {
   /// shard.
   std::uint64_t inline_fallbacks = 0;
   std::uint64_t workers_died = 0;
+  /// Checker backoff waits: a checker found nothing to apply — its rings
+  /// were empty (detection kept up with execution) or, under shared
+  /// structure, the admitted position did not yet cover its next access
+  /// (plus the writer's spins at the run fence there).
+  std::uint64_t checker_wait_spins = 0;
   // -- shared-structure mode (parallel_pipeline.hpp, --structure=shared);
   //    zero in every other configuration.
   /// Max runs the writer's admitted position was ahead of the slowest
   /// shard's next run when a checker sampled it (pipeline depth, in runs).
   std::uint64_t structure_admit_lag_max = 0;
-  /// Checker spins waiting for the admitted position to cover an access's
-  /// structural prerequisites (plus writer spins at the run fence).
-  std::uint64_t checker_wait_spins = 0;
   /// Bytes of the one shared reachability graph — the memory that was
   /// W-fold under replication.
   std::uint64_t shared_graph_bytes = 0;
@@ -102,10 +109,11 @@ struct pipeline_stats {
 class pipelined_detector final : public execution_observer {
  public:
   struct tuning {
-    /// Slots per checker ring (rounded up to a power of two). 16Ki slots =
-    /// 1 MiB per ring, deep enough to absorb checker hiccups. The ring is
-    /// allocated untouched, so a run pays (in time and resident memory)
-    /// only for the slots it actually writes.
+    /// Slots in the producer's ring (rounded up to a power of two), which
+    /// every checker reads. 16Ki 32-byte slots = 512 KiB, deep enough to
+    /// absorb checker hiccups. The ring is allocated untouched, so a run
+    /// pays (in time and resident memory) only for the slots it actually
+    /// writes.
     std::size_t ring_capacity = std::size_t{1} << 14;
     /// log2 of the address-chunk size dealt round-robin to checkers.
     unsigned chunk_shift = k_default_chunk_shift;

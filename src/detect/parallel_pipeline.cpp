@@ -1,6 +1,7 @@
 #include "futrace/detect/parallel_pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -70,16 +71,57 @@ struct replay_finish {
 };
 
 /// Serial position of one replica-local race report: structure events
-/// replayed before the access that raised it, the access's wire ordinal,
-/// and its sub-event. Every replica replays the same structure stream, and
-/// the accesses between two structure events all belong to one pid, whose
-/// producer numbers them in program order — so the key orders reports from
-/// different shards exactly as the inline detector raised them.
+/// replayed before the access that raised it, and the access's ring
+/// position. Every replica replays the same structure stream, and the
+/// accesses between two structure events all belong to one pid, hence to
+/// one producer, whose ring positions follow its program order (a split
+/// range's sub-events take consecutive positions) — so the key orders
+/// reports from different shards exactly as the inline detector raised
+/// them.
 struct report_tag {
   std::uint64_t structure = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t sub = 0;
+  std::uint64_t pos = 0;
 };
+
+/// A wire event with its position in its producer's ring: what a replayer
+/// queues, and what a producer spills for a consumer that will not read
+/// its ring again.
+struct queued_event {
+  pipe_event ev;
+  std::uint64_t pos = 0;
+};
+
+/// Applies one access-class event (an access or a region retire) to `det`
+/// as dense serial task `t`: the canonical address and geometry come from
+/// the wire, the site from the run's site table.
+void apply_access(race_detector& det, task_id t, const pipe_event& ev,
+                  const wire_site_table& sites) {
+  const void* addr = reinterpret_cast<const void*>(ev.a);
+  switch (ev.op) {
+    case pipe_op::read:
+      det.on_canonical_read(t, addr, reinterpret_cast<const void*>(ev.b),
+                            sites.resolve(ev.site));
+      break;
+    case pipe_op::write:
+      det.on_canonical_write(t, addr, reinterpret_cast<const void*>(ev.b),
+                             sites.resolve(ev.site));
+      break;
+    case pipe_op::read_range:
+      det.on_read_range(t, addr, static_cast<std::size_t>(ev.b), ev.stride,
+                        sites.resolve(ev.site));
+      break;
+    case pipe_op::write_range:
+      det.on_write_range(t, addr, static_cast<std::size_t>(ev.b), ev.stride,
+                         sites.resolve(ev.site));
+      break;
+    case pipe_op::region_retire:
+      det.on_region_retire(t, addr, static_cast<std::size_t>(ev.b));
+      break;
+    default:
+      FUTRACE_DCHECK(false);  // structure events go to the replayer
+      break;
+  }
+}
 
 /// Reconstructs the serial depth-first observer stream from the parallel
 /// wire. Events are demuxed into per-pid FIFO queues (a pid's events arrive
@@ -94,24 +136,25 @@ struct report_tag {
 /// the main thread at finalize (after the checker joined).
 class dfs_replayer {
  public:
-  explicit dfs_replayer(race_detector* det) : det_(det) {}
+  dfs_replayer(race_detector* det, const wire_site_table* sites)
+      : det_(det), sites_(sites) {}
 
-  void enqueue(const pipe_event& ev) {
+  void enqueue(const pipe_event& ev, std::uint64_t pos) {
     ++pending_;
-    queues_[ev.task].push_back(ev);
+    queues_[ev.task].push_back(queued_event{ev, pos});
   }
 
   /// enqueue() followed by as many step()s as it enables, minus the queue:
   /// when nothing is pending and `ev` is the current source's next event,
   /// it is applied at once. A single producer's stream is already in DFS
   /// order, so there every event takes this path.
-  void offer(const pipe_event& ev) {
+  void offer(const pipe_event& ev, std::uint64_t pos) {
     if (pending_ == 0 && started_ && !ended_ && !source_stack_.empty() &&
         ev.task == source_stack_.back()) [[likely]] {
-      apply(ev);
+      apply(ev, pos);
       return;
     }
-    enqueue(ev);
+    enqueue(ev, pos);
   }
 
   /// Replays one event if the DFS order admits one; false means blocked
@@ -123,7 +166,7 @@ class dfs_replayer {
       // before it.
       const auto it = queues_.find(0);
       if (it == queues_.end() || it->second.empty()) return false;
-      const pipe_event ev = it->second.front();
+      const pipe_event ev = it->second.front().ev;
       it->second.pop_front();
       --pending_;
       FUTRACE_DCHECK(ev.op == pipe_op::program_start);
@@ -139,10 +182,10 @@ class dfs_replayer {
     if (source_stack_.empty()) return false;
     const auto it = queues_.find(source_stack_.back());
     if (it == queues_.end() || it->second.empty()) return false;
-    const pipe_event ev = it->second.front();
+    const queued_event q = it->second.front();
     it->second.pop_front();
     --pending_;
-    apply(ev);
+    apply(q.ev, q.pos);
     return true;
   }
 
@@ -204,12 +247,12 @@ class dfs_replayer {
     if (!started_) {
       const auto it = queues_.find(0);
       if (it == queues_.end() || it->second.empty()) return nullptr;
-      return &it->second.front();
+      return &it->second.front().ev;
     }
     if (source_stack_.empty()) return nullptr;
     const auto it = queues_.find(source_stack_.back());
     if (it == queues_.end() || it->second.empty()) return nullptr;
-    return &it->second.front();
+    return &it->second.front().ev;
   }
 
   bool has_admissible() const { return peek() != nullptr; }
@@ -228,7 +271,7 @@ class dfs_replayer {
   }
 
  private:
-  void apply(const pipe_event& ev) {
+  void apply(const pipe_event& ev, std::uint64_t pos) {
     switch (ev.op) {
       case pipe_op::spawn: {
         // Serial spawn_begin: the child gets the next dense id and runs to
@@ -307,54 +350,22 @@ class dfs_replayer {
         break;
       }
       case pipe_op::read:
-        det_->on_canonical_read(task_stack_.back().id,
-                                reinterpret_cast<const void*>(ev.a),
-                                reinterpret_cast<const void*>(ev.stride),
-                                access_site{ev.file, ev.line});
-        break;
       case pipe_op::write:
-        det_->on_canonical_write(task_stack_.back().id,
-                                 reinterpret_cast<const void*>(ev.a),
-                                 reinterpret_cast<const void*>(ev.stride),
-                                 access_site{ev.file, ev.line});
-        break;
       case pipe_op::read_range:
-        det_->on_read_range(task_stack_.back().id,
-                            reinterpret_cast<const void*>(ev.a),
-                            static_cast<std::size_t>(ev.b),
-                            static_cast<std::size_t>(ev.stride),
-                            access_site{ev.file, ev.line});
-        break;
       case pipe_op::write_range:
-        det_->on_write_range(task_stack_.back().id,
-                             reinterpret_cast<const void*>(ev.a),
-                             static_cast<std::size_t>(ev.b),
-                             static_cast<std::size_t>(ev.stride),
-                             access_site{ev.file, ev.line});
-        break;
       case pipe_op::region_retire:
-        det_->on_region_retire(task_stack_.back().id,
-                               reinterpret_cast<const void*>(ev.a),
-                               static_cast<std::size_t>(ev.b));
+        apply_access(*det_, task_stack_.back().id, ev, *sites_);
         break;
       case pipe_op::program_start:
         FUTRACE_DCHECK(false);  // consumed by the started_ branch of step()
         break;
     }
-    switch (ev.op) {
-      case pipe_op::read:
-      case pipe_op::write:
-      case pipe_op::read_range:
-      case pipe_op::write_range:
-        while (tags_.size() < det_->reports().size()) {
-          tags_.push_back(report_tag{structure_applied_, ev.seq, ev.sub});
-        }
-        break;
-      case pipe_op::region_retire:
-        break;
-      default:
-        ++structure_applied_;
-        break;
+    if (is_access(ev.op)) {
+      while (tags_.size() < det_->reports().size()) {
+        tags_.push_back(report_tag{structure_applied_, pos});
+      }
+    } else if (ev.op != pipe_op::region_retire) {
+      ++structure_applied_;
     }
   }
 
@@ -388,7 +399,8 @@ class dfs_replayer {
   }
 
   race_detector* det_;
-  std::unordered_map<task_id, std::deque<pipe_event>> queues_;
+  const wire_site_table* sites_;
+  std::unordered_map<task_id, std::deque<queued_event>> queues_;
   std::vector<replay_frame> task_stack_;
   std::vector<replay_finish> finish_stack_;
   /// The DFS descent through the *parallel* id space: source_stack_.back()
@@ -429,6 +441,26 @@ struct run_label {
   std::uint64_t step = 0;
 };
 
+/// A shared-mode checker's bucketed access: the event and its pid's
+/// structure ordinal when it ran, which names the run it belongs to.
+struct bucketed_access {
+  pipe_event ev;
+  std::uint64_t k = 0;
+};
+
+/// One entry of a producer's direct-mapped site cache, in front of the
+/// run's wire_site_table. An empty entry reads {nullptr, 0} -> id 0, which
+/// is what the table holds for that site.
+struct site_slot {
+  const char* file = nullptr;
+  std::uint32_t line = 0;
+  std::uint32_t id = 0;
+};
+inline constexpr unsigned k_site_cache_bits = 6;
+
+/// Slots a checker applies from one ring before it retires them.
+inline constexpr std::size_t k_checker_sweep = 256;
+
 }  // namespace
 
 struct parallel_detector::impl {
@@ -444,79 +476,81 @@ struct parallel_detector::impl {
     /// global region registry is mutex+version guarded, so P concurrent
     /// mirrors are safe.
     shadow_memory span_shadow;
-    /// Events bound for a dead checker, buffered per checker (still
-    /// single-producer) and drained at finalize after the ring contents.
-    std::vector<std::vector<pipe_event>> spill;
-    /// Shared-structure mode: per-pid count of this producer's structure
-    /// events so far — the ordinal tag carried by access events (a pid's
-    /// body runs on one OS thread, so its counts live in one map). The
-    /// one-entry cache short-circuits the lookup on the access fast path
-    /// (unordered_map references are rehash-stable).
-    std::unordered_map<task_id, std::uint64_t> struct_seq;
-    task_id seq_pid = k_invalid_task;
-    std::uint64_t* seq_slot = nullptr;
-    /// Structure events buffered after the writer died (ring-then-spill,
-    /// same FIFO story as the per-checker spill).
-    std::vector<pipe_event> struct_spill;
+    /// Per consumer: the events it reads that the ring would have
+    /// overwritten after it left for good — or, in buffer mode, every
+    /// event it reads — with their ring positions. Only older events move
+    /// here, so a consumer's spill precedes what is left of it in the ring.
+    std::vector<std::vector<queued_event>> spill;
+    std::array<site_slot, std::size_t{1} << k_site_cache_bits> site_cache{};
     std::uint64_t events = 0;
     std::uint64_t access_events = 0;
     std::uint64_t split_subevents = 0;
     std::uint64_t backpressure_waits = 0;
     std::uint64_t occupancy_samples = 0;
     std::uint64_t occupancy_sum = 0;
+    /// Slots written so far: the next event's ring position.
     std::uint64_t pushes = 0;
     std::uint64_t spilled = 0;
   };
 
   struct checker {
-    unsigned index = 0;
+    unsigned index = 0;  // also its consumer index in every ring
     std::unique_ptr<race_detector> det;
     std::unique_ptr<dfs_replayer> rp;
-    std::vector<std::unique_ptr<event_ring>> rings;  // one per producer
     support::pooled_thread thread;
     /// Set (release) by the checker on a kill fault or an escaped
-    /// exception; producers poll it (acquire) and spill from then on.
+    /// exception, as its last act; whoever acquires it owns the checker's
+    /// heads from then on (gone() below).
     std::atomic<bool> dead{false};
     bool thread_started = false;
+    /// Idle backoff waits: the checker found nothing to do.
+    std::uint64_t wait_spins = 0;
+    /// The replica's counters once its replay is complete. A replicated
+    /// checker that reaches the end of the stream alive closes its replay
+    /// and fills these on its own thread, so the shadow walks behind them
+    /// run in parallel; merge() asks the other replicas itself.
+    detector_counters final_counters;
+    bool final_ready = false;
 
     // -- shared-structure run state (structure_mode::shared) ------------------
     // Owned by the checker thread while it lives; the store to `dead`
     // (release) hands it to the structure writer, whose join hands it to
     // the main thread — one owner at every instant.
+    /// Per pid (pids are dense): structure events seen so far in its
+    /// producer's ring — the ordinal the pid's next access is tagged with.
+    std::vector<std::uint64_t> struct_seen;
     /// Access events demuxed per pid; a pid's entries are FIFO in its
     /// program order, so ordinal tags are nondecreasing per queue.
-    std::unordered_map<task_id, std::deque<pipe_event>> buckets;
+    std::unordered_map<task_id, std::deque<bucketed_access>> buckets;
     std::uint64_t next_run = 1;  // first run not yet completed
     bool run_entered = false;    // note_run_boundary done for next_run
     run_label cur{};             // label of next_run once entered
     /// Highest fully-completed run; the writer's fence acquires it.
     std::atomic<std::uint64_t> done_run{0};
-    std::uint64_t wait_spins = 0;
     std::uint64_t admit_lag_max = 0;
   };
 
   /// The single-writer shared reachability structure (structure_mode::
-  /// shared): one race_detector owns the only graph, fed by one structure
-  /// ring per producer. Checkers attach to it for PRECEDE queries under
-  /// query_mutex and never apply structure events to it.
+  /// shared): one race_detector owns the only graph, fed by the structure
+  /// events of every producer's ring, which the writer reads as one more
+  /// consumer. Checkers attach to it for PRECEDE queries under query_mutex
+  /// and never apply structure events to it.
   struct shared_structure {
     std::unique_ptr<race_detector> owner;
     std::unique_ptr<dfs_replayer> rp;
-    std::vector<std::unique_ptr<event_ring>> rings;  // one per producer
     support::pooled_thread thread;
     bool thread_started = false;
     /// Set (release) when the writer dies (fault injection, escaped
-    /// exception, failed thread start); producers spill structure events
-    /// from then on and finalize replays single-threaded.
+    /// exception, failed thread start); producers take over its heads and
+    /// finalize replays single-threaded.
     std::atomic<bool> dead{false};
     /// Admitted position: runs 1..applied exist (their run_label is
     /// appended before this release store).
     std::atomic<std::uint64_t> applied{0};
     /// Highest n whose terminator — the (n+1)-th structure event — the
-    /// writer holds. Producers flush staged accesses before every
-    /// structure push and a run's accesses and its terminator come from
-    /// the same pid (hence the same OS thread), so terminator >= n means
-    /// every run-n access was published before the store.
+    /// writer holds. A run's accesses and its terminator come from the
+    /// same pid, hence the same ring, in that order, so terminator >= n
+    /// means every run-n access was published before the store.
     std::atomic<std::uint64_t> terminator{0};
     /// The stream is fully applied: the final run's terminator is EOF.
     std::atomic<bool> eof{false};
@@ -537,6 +571,9 @@ struct parallel_detector::impl {
   tuning tune;
   unsigned producers = 0;      // P, fixed by begin()
   unsigned checker_count = 0;  // W
+  /// Readers of every ring: the W checkers, then — shared mode — the
+  /// structure writer as consumer W.
+  unsigned consumer_count = 0;
   bool begun = false;
   bool finalized = false;
   /// Root pid from program_start: no producer emits a task_end for the
@@ -548,7 +585,13 @@ struct parallel_detector::impl {
   bool buffer_mode = false;
   std::atomic<bool> done{false};
 
+  /// The sites the wire names, shared by every producer and consumer.
+  wire_site_table sites;
   std::vector<std::unique_ptr<producer_state>> pstates;
+  /// One ring per producer, read in full by every consumer (none in buffer
+  /// mode). Kept apart from producer_state: consumers read this vector,
+  /// producers write their state on every event.
+  std::vector<std::unique_ptr<event_ring>> rings;
   std::vector<std::unique_ptr<checker>> checkers;
   /// Non-null iff tuning::structure == structure_mode::shared.
   std::unique_ptr<shared_structure> shared;
@@ -569,7 +612,7 @@ struct parallel_detector::impl {
   std::vector<std::uint64_t> merged_suppression;
   bool merged_degraded = false;
 
-  // -- emission (engine worker threads) ---------------------------------------
+  // -- who reads what ---------------------------------------------------------
 
   std::size_t owner_of(std::uint64_t addr) const noexcept {
     if (checker_count == 1) return 0;
@@ -578,32 +621,72 @@ struct parallel_detector::impl {
                       : static_cast<std::size_t>(chunk % checker_count);
   }
 
-  /// True when nobody will ever drain checker `c`'s access rings again:
-  /// the checker is dead and — under shared mode — the structure writer,
-  /// which services dead shards' rings, is dead too. Both flags are
-  /// sticky, so once a producer starts spilling it never goes back to the
-  /// ring and the ring-then-spill FIFO order survives.
-  bool consumer_gone(const checker& c) const {
-    if (!c.dead.load(std::memory_order_acquire)) return false;
+  /// Whether consumer `c` reads `ev`; it skips the rest of the ring. A
+  /// checker reads every structure event (replicated: to replay it;
+  /// shared: to count its pid's ordinal), the accesses it owns and every
+  /// region retire. The shared-mode writer reads structure events alone.
+  bool reads(unsigned c, const pipe_event& ev) const noexcept {
+    if (is_structure(ev.op)) return true;
+    if (c == checker_count) return false;
+    return ev.op == pipe_op::region_retire || owner_of(ev.a) == c;
+  }
+
+  /// Whether consumer `c` applies `ev`: the events the worker fault site
+  /// fires on and a takeover counts. Everything it reads, except that a
+  /// shared-mode checker only counts structure events.
+  bool applies(unsigned c, const pipe_event& ev) const noexcept {
+    return reads(c, ev) &&
+           !(shared && c < checker_count && is_structure(ev.op));
+  }
+
+  /// True once nobody but the producer will read consumer `c`'s view of
+  /// the rings before finalize: the checker (or the writer) is dead and —
+  /// for a checker under shared mode — the structure writer, which
+  /// services dead shards, is dead too. Both flags are sticky and each is
+  /// its owner's last act, so from the acquiring load on, producer p alone
+  /// owns c's head in ring p.
+  bool gone(unsigned c) const {
+    if (c == checker_count) return shared->dead.load(std::memory_order_acquire);
+    if (!checkers[c]->dead.load(std::memory_order_acquire)) return false;
     return shared == nullptr || shared->dead.load(std::memory_order_acquire);
   }
 
-  /// Makes room for one slot in producer `p`'s ring to checker `c`,
-  /// spinning on backpressure. False once nobody will ever drain that ring
-  /// again: its staged slots are published first, so the caller's spill
-  /// follows them in stream order (ring-then-spill). Every event on the
-  /// parallel wire is single-slot, so a kill can never strand a partial
-  /// event.
-  bool reserve_slot(unsigned p, checker& c) {
-    producer_state& ps = *pstates[p];
-    ++ps.pushes;
-    if (c.rings.empty()) return false;  // buffer mode
-    event_ring& ring = *c.rings[p];
-    if (consumer_gone(c)) [[unlikely]] {
-      ring.flush();
-      return false;
+  // -- emission (engine worker threads) ---------------------------------------
+
+  /// Producer p's wire id for `site`: its cache, else the shared table
+  /// (which takes a mutex, once per site and producer until evicted).
+  std::uint32_t site_id(producer_state& ps, access_site site) {
+    const std::uint64_t h =
+        (reinterpret_cast<std::uintptr_t>(site.file) ^
+         (std::uint64_t{site.line} << 32 | site.line)) *
+        0x9E3779B97F4A7C15ULL;
+    site_slot& slot = ps.site_cache[h >> (64 - k_site_cache_bits)];
+    if (slot.file != site.file || slot.line != site.line) [[unlikely]] {
+      slot = site_slot{site.file, site.line, sites.intern(site)};
     }
-    if ((ps.pushes & 63) == 0) {
+    return slot.id;
+  }
+
+  /// Appends `ev` to consumer c's spill if c reads it.
+  void spill(producer_state& ps, unsigned c, const pipe_event& ev,
+             std::uint64_t pos) {
+    if (!reads(c, ev)) return;
+    ps.spill[c].push_back(queued_event{ev, pos});
+    ++ps.spilled;
+  }
+
+  /// Writes `ev` once into producer p's ring, for every consumer; in
+  /// buffer mode it goes straight to the spills. The ring publishes staged
+  /// slots in batches; finalize publishes the rest.
+  void push(unsigned p, const pipe_event& ev) {
+    producer_state& ps = *pstates[p];
+    const std::uint64_t pos = ps.pushes++;
+    if (buffer_mode) [[unlikely]] {
+      for (unsigned c = 0; c < consumer_count; ++c) spill(ps, c, ev, pos);
+      return;
+    }
+    event_ring& ring = *rings[p];
+    if ((pos & 63) == 63) {
       ps.occupancy_sum += ring.size_approx();
       ++ps.occupancy_samples;
     }
@@ -614,81 +697,37 @@ struct parallel_detector::impl {
         spin_pause();
       }
     }
-    if (ring.free_slots() >= 1) [[likely]] return true;
-    ring.flush();  // the checker can only free slots it can see
-    obs::trace_emit(obs::trace_kind::ring_stall, obs::trace_track::checker,
-                    c.index, 1);
-    spin_backoff backoff;
-    while (ring.free_slots_refresh() < 1) {
-      ++ps.backpressure_waits;
-      backoff.wait();
-      if (consumer_gone(c)) return false;
-    }
-    return true;
-  }
-
-  /// Stages one event in producer `p`'s ring to shard `w`, or spills it
-  /// once nobody will drain that ring again. The ring publishes staged
-  /// slots in batches; flush_access_rings() publishes the rest.
-  void stage_event(unsigned p, std::size_t w, const pipe_event& ev) {
-    checker& c = *checkers[w];
-    if (!reserve_slot(p, c)) [[unlikely]] {
-      producer_state& ps = *pstates[p];
-      ps.spill[w].push_back(ev);
-      ++ps.spilled;
-      return;
-    }
-    event_ring& ring = *c.rings[p];
+    if (ring.free_slots() == 0) [[unlikely]] wait_for_slot(ps, ring);
     ring.produce_slot(0) = ev;
     ring.stage(1);
   }
 
-  void flush_ring(unsigned p, std::size_t w) {
-    if (!checkers[w]->rings.empty()) checkers[w]->rings[p]->flush();
-  }
-
-  void flush_access_rings(unsigned p) {
-    for (std::size_t w = 0; w < checkers.size(); ++w) flush_ring(p, w);
-  }
-
-  /// Per-pid structure ordinal slot, with a one-entry cache for the access
-  /// fast path (a worker runs one task body at a time).
-  std::uint64_t& struct_seq_of(producer_state& ps, task_id pid) {
-    if (ps.seq_pid != pid || ps.seq_slot == nullptr) [[unlikely]] {
-      ps.seq_slot = &ps.struct_seq[pid];
-      ps.seq_pid = pid;
-    }
-    return *ps.seq_slot;
-  }
-
-  /// Shared-structure push: one writer-consumed ring per producer. After
-  /// the writer dies the event spills to the producer's struct_spill, so
-  /// finalize can drain ring-then-spill in stream order.
-  void push_structure(unsigned p, const pipe_event& ev) {
-    producer_state& ps = *pstates[p];
-    shared_structure& sh = *shared;
-    ++ps.pushes;
-    if (sh.dead.load(std::memory_order_acquire) || sh.rings.empty())
-        [[unlikely]] {
-      ps.struct_spill.push_back(ev);
-      ++ps.spilled;
-      return;
-    }
-    event_ring& ring = *sh.rings[p];
-    if (ring.free_slots() < 1) [[unlikely]] {
-      spin_backoff backoff;
-      while (ring.free_slots_refresh() < 1) {
-        ++ps.backpressure_waits;
-        backoff.wait();
-        if (sh.dead.load(std::memory_order_acquire)) {
-          ps.struct_spill.push_back(ev);
-          ++ps.spilled;
-          return;
-        }
+  /// Backpressure: publish what is staged (a consumer can only free slots
+  /// it can see), then spin until the slowest consumer frees one. A
+  /// consumer that is gone never holds the producer: its unread slots move
+  /// to its spill, in order, before the ring could overwrite them.
+  void wait_for_slot(producer_state& ps, event_ring& ring) {
+    ring.flush();
+    if (obs::trace_enabled()) [[unlikely]] {
+      unsigned slowest = 0;
+      for (unsigned c = 1; c < consumer_count; ++c) {
+        if (ring.position(c) < ring.position(slowest)) slowest = c;
       }
+      obs::trace_emit(obs::trace_kind::ring_stall, obs::trace_track::checker,
+                      slowest, 1);
     }
-    ring.produce_slot(0) = ev;
-    ring.publish(1);
+    spin_backoff backoff;
+    for (;;) {
+      for (unsigned c = 0; c < consumer_count; ++c) {
+        if (!gone(c)) continue;
+        ring.drain(c, [&](std::uint64_t pos, const pipe_event& ev) {
+          spill(ps, c, ev, pos);
+        });
+      }
+      if (ring.free_slots_refresh() != 0) return;
+      ++ps.backpressure_waits;
+      backoff.wait();
+    }
   }
 
   /// Producer-side execution lanes: the producers are the single
@@ -726,72 +765,66 @@ struct parallel_detector::impl {
     (void)b;
   }
 
-  /// Graph-structure events. Replicated: broadcast to every shard, each
-  /// replica replays the full structure. Shared: routed to the structure
-  /// writer alone, tagged with the emitting pid's structure ordinal.
+  /// Graph-structure events: one slot that every checker replays (or, in
+  /// shared mode, counts) and the shared-mode writer applies.
   void emit_struct(unsigned p, pipe_op op, task_id pid, std::uint64_t a,
                    std::uint64_t b) {
-    producer_state& ps = *pstates[p];
     if (op == pipe_op::program_start) root_pid = pid;
     if (obs::trace_enabled()) [[unlikely]] trace_lane(op, pid, a, b);
-    // Staged accesses precede this event in the pid's program order and
-    // must reach the wire no later than it does. Replicated: the broadcast
-    // lands behind them in every access ring (per-ring FIFO is the demux
-    // invariant). With several producers each ring publishes at once,
-    // structure event included; a single producer stages it like an
-    // access — it flushes before every wait and at finalize, and nothing
-    // else can wait on its staged events. Shared: the event goes to the
-    // writer's ring, so flush the access rings first — the writer relies
-    // on every run-n access being published before it holds run n's
-    // terminator, and checkers cannot complete run n until then.
     pipe_event ev;
     ev.op = op;
     ev.task = pid;
     ev.a = a;
     ev.b = b;
-    if (shared) {
-      flush_access_rings(p);
-      ev.seq = struct_seq_of(ps, pid)++;
-      ++ps.events;
-      push_structure(p, ev);
-    } else {
-      ev.seq = ps.events++;  // producer-stream ordinal (diagnostics only)
-      for (std::size_t w = 0; w < checkers.size(); ++w) {
-        stage_event(p, w, ev);
-        if (producers > 1) flush_ring(p, w);
-      }
-    }
+    ++pstates[p]->events;
+    push(p, ev);
+    // Staged accesses precede this event in the pid's program order and in
+    // the ring, so no consumer can see it before them. With several
+    // producers it publishes at once: another producer's pids may wait in
+    // a replayer for it. A single producer stages it like an access — it
+    // flushes before every wait and at finalize, and nothing else can wait
+    // on its staged events.
+    if (producers > 1 && !buffer_mode) rings[p]->flush();
   }
 
+  /// Sends one range access as sub-events, split at chunk boundaries so
+  /// each names one owner. A stride too wide for the wire sends the range
+  /// element by element instead (k_max_wire_stride): count-1 sub-events,
+  /// which read no stride. Either way the sub-events take consecutive
+  /// ring positions.
   void emit_range_split(unsigned p, bool is_write, task_id pid,
                         const void* addr, std::size_t count,
-                        std::size_t stride, access_site site,
-                        std::uint64_t seq_no) {
+                        std::size_t stride, access_site site) {
     producer_state& ps = *pstates[p];
+    const std::uint32_t sid = site_id(ps, site);
+    const bool wide = stride > k_max_wire_stride;
     std::uintptr_t a = reinterpret_cast<std::uintptr_t>(addr);
     std::size_t remaining = count;
-    std::uint32_t sub = 0;
+    std::uint64_t sub = 0;
     while (remaining > 0) {
       std::size_t k = remaining;
-      if (checker_count > 1 && stride != 0) {
-        const std::uintptr_t boundary =
-            next_chunk_boundary(a, tune.chunk_shift);
+      if (wide) {
+        k = 1;
+      } else if (checker_count > 1 && stride != 0) {
+        const std::uintptr_t room =
+            next_chunk_boundary(a, tune.chunk_shift) - a;
         // Elements owned by this chunk: those whose *base* precedes the
-        // boundary (an element may straddle into the next chunk).
-        k = std::min<std::size_t>(remaining,
-                                  (boundary - a + stride - 1) / stride);
+        // boundary (an element may straddle into the next chunk). Most
+        // ranges fit whole, which needs no division.
+        std::size_t bytes = 0;
+        if (__builtin_mul_overflow(remaining, stride, &bytes) ||
+            bytes > room) {
+          k = std::min<std::size_t>(remaining, (room + stride - 1) / stride);
+        }
       }
       pipe_event ev;
       ev.op = is_write ? pipe_op::write_range : pipe_op::read_range;
       ev.task = pid;
       ev.a = a;
       ev.b = k;
-      ev.stride = stride;
-      ev.file = site.file;
-      ev.line = site.line;
-      ev.seq = seq_no;
-      ev.sub = sub;
-      stage_event(p, owner_of(a), ev);
+      ev.stride = wide ? 0 : static_cast<std::uint32_t>(stride);
+      ev.site = sid;
+      push(p, ev);
       ++sub;
       a += k * stride;
       remaining -= k;
@@ -799,21 +832,19 @@ struct parallel_detector::impl {
     if (sub > 1) ps.split_subevents += sub - 1;
   }
 
-  /// The access seq tag: replicated mode keeps the producer-stream ordinal
-  /// (program order within a pid, the report-merge key); shared mode
-  /// carries the pid's structure ordinal — the run whose graph state this
-  /// access must be checked against.
-  std::uint64_t access_seq(producer_state& ps, task_id pid) {
-    const std::uint64_t seq_no = shared ? struct_seq_of(ps, pid) : ps.events;
+  void emit_range(unsigned p, bool is_write, task_id pid, const void* addr,
+                  std::size_t count, std::size_t stride, access_site site) {
+    producer_state& ps = *pstates[p];
+    ++ps.access_events;
     ++ps.events;
-    return seq_no;
+    emit_range_split(p, is_write, pid, addr, count, stride, site);
   }
 
   void emit_access(unsigned p, bool is_write, task_id pid, const void* addr,
                    std::size_t size, access_site site) {
     producer_state& ps = *pstates[p];
     ++ps.access_events;
-    const std::uint64_t seq_no = access_seq(ps, pid);
+    ++ps.events;
     // Canonicalize on the emitting worker (it sees the element geometry no
     // later than the access); replicas run assume-canonical.
     const shadow_memory::access_span span = ps.span_shadow.span_of(addr, size);
@@ -822,69 +853,68 @@ struct parallel_detector::impl {
       ev.op = is_write ? pipe_op::write : pipe_op::read;
       ev.task = pid;
       ev.a = reinterpret_cast<std::uintptr_t>(span.first);
-      ev.b = size;
-      // `stride` is dead weight for a scalar access; it carries the
+      // The checker never reads a scalar's size; `b` carries the
       // program-touched address for report provenance.
-      ev.stride = reinterpret_cast<std::uintptr_t>(addr);
-      ev.file = site.file;
-      ev.line = site.line;
-      ev.seq = seq_no;
-      stage_event(p, owner_of(ev.a), ev);
+      ev.b = reinterpret_cast<std::uintptr_t>(addr);
+      ev.site = site_id(ps, site);
+      push(p, ev);
       return;
     }
     emit_range_split(p, is_write, pid, span.first, span.count, span.stride,
-                     site, seq_no);
+                     site);
   }
 
   /// Region retire: access-class (it mutates only shadow state, so the
-  /// structure owner never sees it) but staged to EVERY shard — the range
+  /// structure writer skips it) but applied by EVERY checker — the range
   /// may span chunk owners, and each shard retires only the cells it holds.
-  /// One access ordinal covers all W copies (like a split range's
-  /// sub-events), so shared-mode checkers apply each copy inside the run
-  /// the free executed in.
   void emit_region_retire(unsigned p, task_id pid, const void* addr,
                           std::size_t bytes) {
     producer_state& ps = *pstates[p];
     ++ps.access_events;
-    const std::uint64_t seq_no = access_seq(ps, pid);
+    ++ps.events;
     pipe_event ev;
     ev.op = pipe_op::region_retire;
     ev.task = pid;
     ev.a = reinterpret_cast<std::uintptr_t>(addr);
     ev.b = bytes;
-    ev.seq = seq_no;
-    for (std::size_t w = 0; w < checkers.size(); ++w) {
-      stage_event(p, w, ev);
-    }
+    push(p, ev);
   }
 
   // -- checker threads --------------------------------------------------------
 
+  /// Replicated checker: read every ring with this checker's head, apply
+  /// what it reads, skip the accesses other shards own.
   void checker_loop(checker& c) {
+    const unsigned me = c.index;
     spin_backoff backoff;
     for (;;) {
       std::size_t drained = 0;
       for (unsigned p = 0; p < producers; ++p) {
-        event_ring& ring = *c.rings[p];
-        const std::size_t n = ring.readable_refresh();
+        event_ring& ring = *rings[p];
+        // Retire in bounded sweeps: a producer waiting on a full ring
+        // resumes after one sweep, not after a whole ring's worth of work.
+        const std::size_t n =
+            std::min(ring.readable_refresh(me), k_checker_sweep);
+        if (n == 0) continue;
+        const std::uint64_t head = ring.position(me);
         for (std::size_t i = 0; i < n; ++i) {
+          const pipe_event& ev = ring.consume_slot(me, i);
+          if (!reads(me, ev)) continue;
           const int action = inject::pipe_worker_site();
           if (action == inject::pipe_kill) [[unlikely]] {
             // Exit without draining: already-retired events were applied,
             // everything else stays for the finalize takeover.
-            if (i != 0) ring.pop(i);
+            if (i != 0) ring.pop(me, i);
             c.dead.store(true, std::memory_order_release);
             return;
           }
           if (action == inject::pipe_stall) [[unlikely]] {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
           }
-          c.rp->offer(ring.consume_slot(i));
+          c.rp->offer(ev, head + i);
         }
-        if (n != 0) {
-          ring.pop(n);
-          drained += n;
-        }
+        ring.pop(me, n);
+        drained += n;
       }
       bool stepped = false;
       while (c.rp->step()) stepped = true;
@@ -894,14 +924,20 @@ struct parallel_detector::impl {
           // between the drain sweep and the flag read.
           bool empty = true;
           for (unsigned p = 0; p < producers; ++p) {
-            if (c.rings[p]->readable_refresh() != 0) {
+            if (rings[p]->readable_refresh(me) != 0) {
               empty = false;
               break;
             }
           }
-          if (empty) return;
-          continue;
+          if (!empty) continue;
+          // The stream is complete and nothing of it is left for a
+          // takeover: close the replay here, in parallel with the others.
+          c.rp->unwind_eof();
+          c.final_counters = c.det->counters();
+          c.final_ready = true;
+          return;
         }
+        ++c.wait_spins;
         backoff.wait();
       } else {
         backoff.reset();
@@ -920,74 +956,60 @@ struct parallel_detector::impl {
     return at_eof ? applied : sh.terminator.load(std::memory_order_acquire);
   }
 
-  /// Drains checker `c`'s access rings into its per-pid buckets. `live` is
-  /// true only on the checker's own thread, where the kill/stall fault
-  /// site fires; a kill leaves the killed event in the ring (finalize
-  /// consumes it) and reports through `*killed`.
+  std::uint64_t& struct_seen(checker& c, task_id pid) {
+    if (pid >= c.struct_seen.size()) {
+      c.struct_seen.resize(std::size_t{pid} + 1, 0);
+    }
+    return c.struct_seen[pid];
+  }
+
+  /// One event of a shared-mode checker's stream. A structure event
+  /// advances its pid's ordinal (every consumer sees every event of a
+  /// ring, so the count matches the producer's program order); an access
+  /// the checker owns, or a region retire, goes to its pid's bucket under
+  /// that ordinal. `live` is true only on the checker's own thread, where
+  /// the kill/stall fault site fires; false means a kill fired and `ev`
+  /// stays unread.
+  bool take_shared(checker& c, const pipe_event& ev, bool live) {
+    if (is_structure(ev.op)) {
+      ++struct_seen(c, ev.task);
+      return true;
+    }
+    if (!reads(c.index, ev)) return true;
+    if (live) {
+      const int action = inject::pipe_worker_site();
+      if (action == inject::pipe_kill) [[unlikely]] return false;
+      if (action == inject::pipe_stall) [[unlikely]] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    c.buckets[ev.task].push_back(
+        bucketed_access{ev, struct_seen(c, ev.task)});
+    return true;
+  }
+
+  /// Drains checker `c`'s view of every ring into its per-pid buckets. A
+  /// kill leaves the killed event unread (finalize consumes it) and
+  /// reports through `*killed`.
   std::size_t drain_shared(checker& c, bool live, bool* killed) {
     std::size_t drained = 0;
     for (unsigned p = 0; p < producers; ++p) {
-      event_ring& ring = *c.rings[p];
-      const std::size_t n = ring.readable_refresh();
+      event_ring& ring = *rings[p];
+      const std::size_t n = ring.readable_refresh(c.index);
       for (std::size_t i = 0; i < n; ++i) {
-        if (live) {
-          const int action = inject::pipe_worker_site();
-          if (action == inject::pipe_kill) [[unlikely]] {
-            if (i != 0) ring.pop(i);
-            *killed = true;
-            return drained;
-          }
-          if (action == inject::pipe_stall) [[unlikely]] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          }
+        if (!take_shared(c, ring.consume_slot(c.index, i), live))
+            [[unlikely]] {
+          if (i != 0) ring.pop(c.index, i);
+          *killed = true;
+          return drained;
         }
-        const pipe_event& ev = ring.consume_slot(i);
-        c.buckets[ev.task].push_back(ev);
       }
       if (n != 0) {
-        ring.pop(n);
+        ring.pop(c.index, n);
         drained += n;
       }
     }
     return drained;
-  }
-
-  /// Applies one access event under the run's identity: the dense serial
-  /// task id from the run label, the canonical address/geometry from the
-  /// wire — exactly what the replicated replayer would have dispatched.
-  static void apply_shared_access(race_detector& det, const run_label& cur,
-                                  const pipe_event& ev) {
-    switch (ev.op) {
-      case pipe_op::read:
-        det.on_canonical_read(cur.dense, reinterpret_cast<const void*>(ev.a),
-                              reinterpret_cast<const void*>(ev.stride),
-                              access_site{ev.file, ev.line});
-        break;
-      case pipe_op::write:
-        det.on_canonical_write(cur.dense, reinterpret_cast<const void*>(ev.a),
-                               reinterpret_cast<const void*>(ev.stride),
-                               access_site{ev.file, ev.line});
-        break;
-      case pipe_op::read_range:
-        det.on_read_range(cur.dense, reinterpret_cast<const void*>(ev.a),
-                          static_cast<std::size_t>(ev.b),
-                          static_cast<std::size_t>(ev.stride),
-                          access_site{ev.file, ev.line});
-        break;
-      case pipe_op::write_range:
-        det.on_write_range(cur.dense, reinterpret_cast<const void*>(ev.a),
-                           static_cast<std::size_t>(ev.b),
-                           static_cast<std::size_t>(ev.stride),
-                           access_site{ev.file, ev.line});
-        break;
-      case pipe_op::region_retire:
-        det.on_region_retire(cur.dense, reinterpret_cast<const void*>(ev.a),
-                             static_cast<std::size_t>(ev.b));
-        break;
-      default:
-        FUTRACE_DCHECK(false);  // structure never reaches an access ring
-        break;
-    }
   }
 
   /// Advances checker `c` through admitted runs: enter run n (adopt the
@@ -1016,9 +1038,9 @@ struct parallel_detector::impl {
       if (c.cur.pid != k_invalid_task) {
         const auto it = c.buckets.find(c.cur.pid);
         if (it != c.buckets.end()) {
-          std::deque<pipe_event>& q = it->second;
-          while (!q.empty() && q.front().seq == c.cur.k) {
-            apply_shared_access(*c.det, c.cur, q.front());
+          std::deque<bucketed_access>& q = it->second;
+          while (!q.empty() && q.front().k == c.cur.k) {
+            apply_access(*c.det, c.cur.dense, q.front().ev, sites);
             q.pop_front();
             progress = true;
           }
@@ -1058,7 +1080,7 @@ struct parallel_detector::impl {
         const bool at_eof = sh.eof.load(std::memory_order_acquire);
         bool empty = true;
         for (unsigned p = 0; p < producers; ++p) {
-          if (c.rings[p]->readable_refresh() != 0) {
+          if (rings[p]->readable_refresh(c.index) != 0) {
             empty = false;
             break;
           }
@@ -1077,32 +1099,29 @@ struct parallel_detector::impl {
     }
   }
 
-  /// Writer-side: move every queued structure event into the replayer.
+  /// Writer-side: move every structure event its head can reach into the
+  /// replayer, skipping accesses and region retires.
   std::size_t drain_structure() {
     shared_structure& sh = *shared;
     std::size_t drained = 0;
     for (unsigned p = 0; p < producers; ++p) {
-      event_ring& ring = *sh.rings[p];
-      const std::size_t n = ring.readable_refresh();
-      for (std::size_t i = 0; i < n; ++i) sh.rp->enqueue(ring.consume_slot(i));
-      if (n != 0) {
-        ring.pop(n);
-        drained += n;
-      }
+      drained += rings[p]->drain(
+          checker_count, [&](std::uint64_t pos, const pipe_event& ev) {
+            if (is_structure(ev.op)) sh.rp->enqueue(ev, pos);
+          });
     }
     return drained;
   }
 
-  /// Writer-side stand-in for dead shards: drain their rings and advance
+  /// Writer-side stand-in for dead shards: drain their heads and advance
   /// their runs so neither producers (full ring) nor the fence can wedge
   /// on a shard whose thread is gone. Safe: the dead store (release) was
-  /// the checker thread's last action, and only the writer touches the
-  /// shard afterwards.
+  /// the checker thread's last action, and while the writer lives only it
+  /// touches the shard afterwards.
   void service_dead_shards() {
     for (auto& cp : checkers) {
       checker& c = *cp;
       if (!c.dead.load(std::memory_order_acquire)) continue;
-      if (c.rings.empty()) continue;
       const std::uint64_t term = term_snapshot();
       bool killed = false;
       drain_shared(c, /*live=*/false, &killed);
@@ -1112,8 +1131,8 @@ struct parallel_detector::impl {
 
   /// Blocks until every shard has completed run n. Live checkers always
   /// progress (their run-n accesses are already published — the terminator
-  /// is in hand); dead shards are serviced right here; the structure rings
-  /// keep draining so producers never wedge on a fenced writer.
+  /// is in hand); dead shards are serviced right here; the writer's own
+  /// head keeps draining so producers never wedge on a fenced writer.
   void fence_checkers(std::uint64_t n) {
     shared_structure& sh = *shared;
     spin_backoff backoff;
@@ -1218,6 +1237,22 @@ struct parallel_detector::impl {
     }
   }
 
+  /// Hands consumer `c`'s unread events from producer p to `take`, in
+  /// stream order: its spill (the oldest events, moved there only when
+  /// the ring would have overwritten them), then what is left of it in
+  /// the ring, skipping what c does not read. Main thread, after every
+  /// producer and consumer has stopped.
+  template <typename Take>
+  void take_over(unsigned p, unsigned c, Take&& take) {
+    std::vector<queued_event>& sp = pstates[p]->spill[c];
+    for (const queued_event& q : sp) take(q.ev, q.pos);
+    std::vector<queued_event>().swap(sp);
+    if (buffer_mode) return;
+    rings[p]->drain(c, [&](std::uint64_t pos, const pipe_event& ev) {
+      if (reads(c, ev)) take(ev, pos);
+    });
+  }
+
   void finalize() {
     if (finalized) return;
     finalized = true;
@@ -1232,7 +1267,7 @@ struct parallel_detector::impl {
     // The engine joins its workers before program_done (parallel_sink
     // contract), so the main thread may act for every producer now:
     // publish whatever is still staged, then close the stream.
-    for (unsigned p = 0; p < producers; ++p) flush_access_rings(p);
+    for (auto& ring : rings) ring->flush();
     done.store(true, std::memory_order_release);
     if (shared) {
       finalize_shared();
@@ -1243,28 +1278,15 @@ struct parallel_detector::impl {
     }
     for (auto& cp : checkers) {
       checker& c = *cp;
-      // Inline takeover: ring leftovers first, then the spill buffers —
-      // spilling only starts once the checker is dead, so per producer the
-      // ring segment precedes the spill segment in stream order, and the
-      // per-pid order the replay depends on survives.
+      // Inline takeover of whatever the checker did not apply. Per
+      // producer the spill precedes the ring remainder in stream order, so
+      // the per-pid order the replay depends on survives.
       std::uint64_t taken = 0;
       for (unsigned p = 0; p < producers; ++p) {
-        if (!c.rings.empty()) {
-          event_ring& ring = *c.rings[p];
-          const std::size_t n = ring.readable_refresh();
-          for (std::size_t i = 0; i < n; ++i) {
-            c.rp->offer(ring.consume_slot(i));
-          }
-          if (n != 0) {
-            ring.pop(n);
-            taken += n;
-          }
-        }
-        std::vector<pipe_event>& sp = pstates[p]->spill[c.index];
-        taken += sp.size();
-        for (const pipe_event& ev : sp) c.rp->offer(ev);
-        sp.clear();
-        sp.shrink_to_fit();
+        take_over(p, c.index, [&](const pipe_event& ev, std::uint64_t pos) {
+          c.rp->offer(ev, pos);
+          ++taken;
+        });
       }
       while (c.rp->step()) {
       }
@@ -1278,6 +1300,7 @@ struct parallel_detector::impl {
         obs::trace_emit(obs::trace_kind::takeover, obs::trace_track::checker,
                         c.index, taken);
       }
+      stats.checker_wait_spins += c.wait_spins;
       pstats.infeasible_gets += c.rp->infeasible_gets();
       pstats.dropped_events += c.rp->dropped();
     }
@@ -1287,8 +1310,9 @@ struct parallel_detector::impl {
 
   /// Shared-mode finalize: join everything, then run the same lockstep
   /// protocol single-threaded over whatever is left — a dead writer's
-  /// unapplied tail, dead shards' rings, every spill — one thread playing
-  /// all the roles. Bit-identical by the same argument as the live path.
+  /// unapplied tail, dead shards' unread events, every spill — one thread
+  /// playing all the roles. Bit-identical by the same argument as the
+  /// live path.
   void finalize_shared() {
     shared_structure& sh = *shared;
     for (auto& cp : checkers) {
@@ -1296,48 +1320,23 @@ struct parallel_detector::impl {
     }
     if (sh.thread.joinable()) sh.thread.join();
 
-    // Structure: ring leftovers first, then the spill (spilling starts
-    // only once the writer is dead, so ring-then-spill is stream order).
+    // Structure the writer did not read, then each checker's unread
+    // events into its buckets; a takeover counts what the consumer would
+    // have applied.
     std::uint64_t taken = 0;
     for (unsigned p = 0; p < producers; ++p) {
-      if (!sh.rings.empty()) {
-        event_ring& ring = *sh.rings[p];
-        const std::size_t n = ring.readable_refresh();
-        for (std::size_t i = 0; i < n; ++i) {
-          sh.rp->enqueue(ring.consume_slot(i));
-        }
-        if (n != 0) {
-          ring.pop(n);
-          taken += n;
-        }
-      }
-      producer_state& ps = *pstates[p];
-      taken += ps.struct_spill.size();
-      for (const pipe_event& ev : ps.struct_spill) sh.rp->enqueue(ev);
-      ps.struct_spill.clear();
-      ps.struct_spill.shrink_to_fit();
+      take_over(p, checker_count, [&](const pipe_event& ev, std::uint64_t pos) {
+        sh.rp->enqueue(ev, pos);
+        ++taken;
+      });
     }
-    // Accesses: same ring-then-spill order into the per-pid buckets.
     for (auto& cp : checkers) {
       checker& c = *cp;
       for (unsigned p = 0; p < producers; ++p) {
-        if (!c.rings.empty()) {
-          event_ring& ring = *c.rings[p];
-          const std::size_t n = ring.readable_refresh();
-          for (std::size_t i = 0; i < n; ++i) {
-            const pipe_event& ev = ring.consume_slot(i);
-            c.buckets[ev.task].push_back(ev);
-          }
-          if (n != 0) {
-            ring.pop(n);
-            taken += n;
-          }
-        }
-        std::vector<pipe_event>& sp = pstates[p]->spill[c.index];
-        taken += sp.size();
-        for (const pipe_event& ev : sp) c.buckets[ev.task].push_back(ev);
-        sp.clear();
-        sp.shrink_to_fit();
+        take_over(p, c.index, [&](const pipe_event& ev, std::uint64_t) {
+          take_shared(c, ev, /*live=*/false);
+          if (applies(c.index, ev)) ++taken;
+        });
       }
     }
     // Replay: everything is on this thread now, so "terminator in hand"
@@ -1388,10 +1387,16 @@ struct parallel_detector::impl {
   void merge() {
     detector_counters c;
     // Structural counters come from the one structure pass: the shared
-    // owner, or (replicated, where structure is broadcast and identical in
-    // every replica) checker 0's.
-    const detector_counters c0 = shared ? shared->owner->counters()
-                                        : checkers[0]->det->counters();
+    // owner, or (replicated, where every replica replays the same
+    // structure) checker 0's.
+    std::vector<detector_counters> per_checker;
+    per_checker.reserve(checkers.size());
+    for (auto& cp : checkers) {
+      per_checker.push_back(cp->final_ready ? cp->final_counters
+                                            : cp->det->counters());
+    }
+    const detector_counters c0 =
+        shared ? shared->owner->counters() : per_checker[0];
     c.tasks = c0.tasks;
     c.async_tasks = c0.async_tasks;
     c.future_tasks = c0.future_tasks;
@@ -1412,8 +1417,9 @@ struct parallel_detector::impl {
     // Address-routed state is disjoint across shards: sums and maxima are
     // exact. avg_readers merges through the raw sample sum.
     std::uint64_t reader_samples = 0;
-    for (auto& cp : checkers) {
-      const detector_counters ci = cp->det->counters();
+    for (std::size_t w = 0; w < checkers.size(); ++w) {
+      const detector_counters& ci = per_checker[w];
+      const auto& cp = checkers[w];
       c.shared_mem_accesses += ci.shared_mem_accesses;
       c.reads += ci.reads;
       c.writes += ci.writes;
@@ -1511,8 +1517,8 @@ struct parallel_detector::impl {
       }
     }
     std::sort(all.begin(), all.end(), [](const entry& x, const entry& y) {
-      return std::tie(x.tag.structure, x.tag.seq, x.tag.sub, x.idx) <
-             std::tie(y.tag.structure, y.tag.seq, y.tag.sub, y.idx);
+      return std::tie(x.tag.structure, x.tag.pos, x.idx) <
+             std::tie(y.tag.structure, y.tag.pos, y.idx);
     });
     const std::size_t keep = std::min(all.size(), opts.max_reports);
     merged_reports.reserve(keep);
@@ -1564,13 +1570,11 @@ void parallel_detector::begin(unsigned workers) {
   im.shard_mask = im.checker_count - 1;
 
   const bool shared_mode = im.tune.structure == structure_mode::shared;
+  im.consumer_count = im.checker_count + (shared_mode ? 1 : 0);
 
   std::size_t cap = 2;
   while (cap < im.tune.ring_capacity) cap <<= 1;
-  const std::size_t ring_count =
-      static_cast<std::size_t>(im.producers) * im.checker_count +
-      (shared_mode ? im.producers : 0);
-  if (support::alloc_should_fail(cap * sizeof(pipe_event) * ring_count)) {
+  if (support::alloc_should_fail(cap * sizeof(pipe_event) * im.producers)) {
     // Ring allocation refused: buffer mode. Every event spills producer-side
     // and the whole replay runs at finalize — full fidelity, no overlap.
     im.buffer_mode = true;
@@ -1585,7 +1589,7 @@ void parallel_detector::begin(unsigned workers) {
   for (unsigned p = 0; p < im.producers; ++p) {
     auto ps = std::make_unique<impl::producer_state>();
     ps->span_shadow.set_direct_mapped(false);
-    ps->spill.resize(im.checker_count);
+    ps->spill.resize(im.consumer_count);
     im.pstates.push_back(std::move(ps));
   }
 
@@ -1597,7 +1601,8 @@ void parallel_detector::begin(unsigned workers) {
     owner_opts.trace_path.clear();
     im.shared->owner = std::make_unique<race_detector>(owner_opts);
     im.shared->owner->set_trace_muted(true);
-    im.shared->rp = std::make_unique<dfs_replayer>(im.shared->owner.get());
+    im.shared->rp =
+        std::make_unique<dfs_replayer>(im.shared->owner.get(), &im.sites);
   }
 
   im.checkers.reserve(im.checker_count);
@@ -1622,7 +1627,7 @@ void parallel_detector::begin(unsigned workers) {
       c->det->attach_shared_structure(im.shared->owner.get(),
                                       &im.shared->query_mutex);
     } else {
-      c->rp = std::make_unique<dfs_replayer>(c->det.get());
+      c->rp = std::make_unique<dfs_replayer>(c->det.get(), &im.sites);
     }
     im.checkers.push_back(std::move(c));
   }
@@ -1634,12 +1639,13 @@ void parallel_detector::begin(unsigned workers) {
     if (im.shared) im.shared->dead.store(true, std::memory_order_relaxed);
     return;
   }
+  // Every ring exists before any consumer starts reading.
+  im.rings.reserve(im.producers);
+  for (unsigned p = 0; p < im.producers; ++p) {
+    im.rings.push_back(std::make_unique<event_ring>(cap, im.consumer_count));
+  }
   for (auto& cp : im.checkers) {
     impl::checker& c = *cp;
-    c.rings.reserve(im.producers);
-    for (unsigned p = 0; p < im.producers; ++p) {
-      c.rings.push_back(std::make_unique<event_ring>(cap));
-    }
     try {
       // Capture the impl, not `this`: the detector shell may be moved
       // while checkers run; the impl's address is stable.
@@ -1652,7 +1658,7 @@ void parallel_detector::begin(unsigned workers) {
           }
         } catch (...) {
           // Unexpected checker failure behaves like a kill: the shard goes
-          // dead, producers spill, finalize takes over inline.
+          // dead, its unread events wait for the finalize takeover.
           c.dead.store(true, std::memory_order_release);
         }
       });
@@ -1666,18 +1672,14 @@ void parallel_detector::begin(unsigned workers) {
   }
   if (im.shared) {
     impl::shared_structure& sh = *im.shared;
-    sh.rings.reserve(im.producers);
-    for (unsigned p = 0; p < im.producers; ++p) {
-      sh.rings.push_back(std::make_unique<event_ring>(cap));
-    }
     try {
       sh.thread.start([im_ptr = &im] {
         try {
           im_ptr->writer_loop();
         } catch (...) {
           // An escaped exception (e.g. an injected epoch-reset fault mid-
-          // apply) behaves like a writer kill: producers spill structure,
-          // finalize replays single-threaded.
+          // apply) behaves like a writer kill: producers take over its
+          // heads, finalize replays single-threaded.
           im_ptr->shared->dead.store(true, std::memory_order_release);
         }
       });
@@ -1735,19 +1737,13 @@ void parallel_detector::emit_write(unsigned worker, task_id t,
 void parallel_detector::emit_read_range(unsigned worker, task_id t,
                                         const void* addr, std::size_t count,
                                         std::size_t stride, access_site site) {
-  impl::producer_state& ps = *impl_->pstates[worker];
-  ++ps.access_events;
-  impl_->emit_range_split(worker, false, t, addr, count, stride, site,
-                          impl_->access_seq(ps, t));
+  impl_->emit_range(worker, false, t, addr, count, stride, site);
 }
 
 void parallel_detector::emit_write_range(unsigned worker, task_id t,
                                          const void* addr, std::size_t count,
                                          std::size_t stride, access_site site) {
-  impl::producer_state& ps = *impl_->pstates[worker];
-  ++ps.access_events;
-  impl_->emit_range_split(worker, true, t, addr, count, stride, site,
-                          impl_->access_seq(ps, t));
+  impl_->emit_range(worker, true, t, addr, count, stride, site);
 }
 
 void parallel_detector::emit_region_retire(unsigned worker, task_id t,

@@ -46,9 +46,10 @@ pipelined_detector::pipelined_detector(race_detector::options opts,
   // it forces inline mode regardless of detect_threads.
   bool pipelined = requested > 0 && !opts.fail_fast;
   if (pipelined) {
+    // The one producer's ring, which every checker reads.
     std::size_t cap = 2;
     while (cap < tune.ring_capacity) cap <<= 1;
-    if (support::alloc_should_fail(cap * sizeof(pipe_event) * requested)) {
+    if (support::alloc_should_fail(cap * sizeof(pipe_event))) {
       // Ring allocation refused: degrade to inline checking, sticky and
       // counted, exactly like a dead checker.
       pipelined = false;
@@ -123,8 +124,12 @@ void pipelined_detector::on_finish_end(task_id owner,
 void pipelined_detector::on_get(task_id waiter, task_id target) {
   impl& im = *impl_;
   if (!im.par) return im.inline_det->on_get(waiter, target);
-  const auto it = im.put_of.find(target);
-  im.par->emit_get(0, im.pid(), target, it == im.put_of.end() ? 0 : it->second);
+  std::uint64_t put_ref = 0;
+  if (im.puts != 0) {
+    const auto it = im.put_of.find(target);
+    if (it != im.put_of.end()) put_ref = it->second;
+  }
+  im.par->emit_get(0, im.pid(), target, put_ref);
 }
 
 void pipelined_detector::on_promise_put(task_id fulfiller) {

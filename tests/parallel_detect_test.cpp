@@ -234,10 +234,10 @@ TEST(ParDetectDiff, StealPerturbationInvariant) {
   }
 }
 
-/// A checker killed mid-stream flips its shard to spill mode; finalize
-/// drains ring-then-spill and replays inline. No event may be lost. The
-/// access-heavy program makes producers hold staged accesses for the dead
-/// shard when the kill lands: they must be published ahead of the spill.
+/// A checker killed mid-stream hands its heads to the producers, which move
+/// its unread events to its spill when they need the slots; finalize
+/// replays spill-then-ring inline. No event may be lost. The access-heavy
+/// program keeps the rings full when the kill lands, so producers spill.
 TEST(ParDetectDiff, CheckerKillDegradesToInlineTakeover) {
   for (const progen::trace_config& cfg :
        {racy_config(53), access_heavy_config(53)}) {

@@ -390,9 +390,10 @@ TEST(PipelineFaults, KilledWorkerDegradesToInlineChecking) {
 }
 
 TEST(PipelineFaults, KilledWorkerCountersMergeExactly) {
-  // A dead checker leaves its unconsumed events in its ring, the producer
-  // spills every later one, and finalize replays ring-then-spill into the
-  // dead checker's own detector. Each event is therefore applied exactly
+  // A dead checker's unread events stay in the ring until the producer
+  // needs their slots, when it moves them, in order, to the checker's
+  // spill; finalize replays spill-then-ring into the dead checker's own
+  // detector. Each event is therefore applied exactly
   // once, in order, to exactly the detector its shard owns — so a killed
   // run must match a clean run at the same width on EVERY counter,
   // engine-tier diagnostics included, not just the paper surface.
@@ -413,8 +414,9 @@ TEST(PipelineFaults, KilledWorkerCountersMergeExactly) {
   };
   const pipelined_detector clean = run_pipelined(opts_with_threads(4), body);
   ASSERT_EQ(clean.pipe_stats().workers_died, 0u);
-  // Wire events the checkers consume in total (the kill ordinal's range):
-  // every access sub-event once, every structure event once per checker.
+  // Wire events the checkers apply in total (the kill ordinal's range):
+  // every access sub-event once, every structure event once per checker;
+  // a checker skips the accesses other checkers own without counting.
   // The wire carries no continuation spawns or ends and no root end, and
   // one finish_begin plus one finish_end per finish, so this is not the
   // observer event count. A kill on the last of them fires after the

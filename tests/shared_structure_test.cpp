@@ -233,8 +233,8 @@ TEST(SharedStructureDiff, CheckerCountIndependent) {
   }
 }
 
-/// Tiny rings exercise producer backpressure on both the access rings and
-/// the structure ring, plus the writer's drain-while-fenced path.
+/// Tiny rings exercise producer backpressure with the writer as one more
+/// consumer of every ring, plus the writer's drain-while-fenced path.
 TEST(SharedStructureDiff, TinyRingBackpressure) {
   progen::program_trace prog(racy_config(13));
   const serial_ref ref = run_serial(prog);

@@ -3,21 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "futrace/detect/event_ring.hpp"
 #include "futrace/support/arena.hpp"
+#include "futrace/support/broadcast_ring.hpp"
 #include "futrace/support/flags.hpp"
 #include "futrace/support/json.hpp"
 #include "futrace/support/ptr_map.hpp"
 #include "futrace/support/rng.hpp"
 #include "futrace/support/small_vector.hpp"
-#include "futrace/support/spsc_ring.hpp"
 #include "futrace/support/stats.hpp"
 #include "futrace/support/table.hpp"
 
@@ -611,75 +613,85 @@ TEST(Json, ParsesGoogleBenchmarkShape) {
   EXPECT_EQ(benches->at(0).find("real_time")->as_double(), 12.5);
 }
 
-// ------------------------------------------------------------------ spsc_ring
+// -------------------------------------------------------------- broadcast_ring
 
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(spsc_ring<int>(1).capacity(), 2u);
-  EXPECT_EQ(spsc_ring<int>(4).capacity(), 4u);
-  EXPECT_EQ(spsc_ring<int>(5).capacity(), 8u);
-  EXPECT_EQ(spsc_ring<int>(1000).capacity(), 1024u);
+TEST(BroadcastRing, CapacityRoundsUpToPowerOfTwo) {
+  EXPECT_EQ(broadcast_ring<int>(1, 1).capacity(), 2u);
+  EXPECT_EQ(broadcast_ring<int>(4, 1).capacity(), 4u);
+  EXPECT_EQ(broadcast_ring<int>(5, 3).capacity(), 8u);
+  EXPECT_EQ(broadcast_ring<int>(1000, 2).capacity(), 1024u);
+  EXPECT_EQ(broadcast_ring<int>(8, 3).consumers(), 3u);
 }
 
-TEST(SpscRing, PublishConsumeBatch) {
-  spsc_ring<int> ring(8);
+TEST(BroadcastRing, PublishConsumeBatch) {
+  broadcast_ring<int> ring(8, 1);
   EXPECT_EQ(ring.free_slots(), 8u);
-  EXPECT_EQ(ring.readable(), 0u);
+  EXPECT_EQ(ring.readable(0), 0u);
   for (int i = 0; i < 5; ++i) ring.produce_slot(i) = i * 10;
   ring.publish(5);
   EXPECT_EQ(ring.free_slots(), 3u);
-  ASSERT_EQ(ring.readable(), 5u);
+  ASSERT_EQ(ring.readable(0), 5u);
+  EXPECT_EQ(ring.position(0), 0u);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(ring.consume_slot(i), static_cast<int>(i) * 10);
+    EXPECT_EQ(ring.consume_slot(0, i), static_cast<int>(i) * 10);
   }
-  ring.pop(5);
-  EXPECT_EQ(ring.readable(), 0u);
-  // free_slots refreshes its view of the consumer lazily (only when the
+  ring.pop(0, 5);
+  EXPECT_EQ(ring.readable(0), 0u);
+  EXPECT_EQ(ring.position(0), 5u);
+  // free_slots refreshes its view of the heads lazily (only when the
   // cached view looks full), so it may under-report after a pop — but a
   // full round of produce/consume must be possible again.
   for (int round = 0; round < 4; ++round) {
     ASSERT_GE(ring.free_slots(), 1u);
     ring.produce_slot(0) = round;
     ring.publish(1);
-    ASSERT_GE(ring.readable_refresh(), 1u);
-    EXPECT_EQ(ring.consume_slot(0), round);
-    ring.pop(1);
+    ASSERT_GE(ring.readable_refresh(0), 1u);
+    EXPECT_EQ(ring.consume_slot(0, 0), round);
+    ring.pop(0, 1);
   }
 }
 
 // Staged slots are the producer's business until the run reaches the
-// publish batch or the producer flushes: the consumer must see none of
-// them before, and all of them (in one store) after.
-TEST(SpscRing, StagedSlotsInvisibleUntilBatchOrFlush) {
-  spsc_ring<int> ring(128);
-  constexpr std::size_t kBatch = spsc_ring<int>::k_publish_batch;
+// publish batch or the producer flushes: no consumer may see any of them
+// before, and every consumer sees all of them (in one store) after.
+TEST(BroadcastRing, StagedSlotsInvisibleUntilBatchOrFlush) {
+  broadcast_ring<int> ring(128, 2);
+  constexpr std::size_t kBatch = broadcast_ring<int>::k_publish_batch;
   ASSERT_LT(kBatch + 8, ring.capacity());
   for (std::size_t i = 0; i + 1 < kBatch; ++i) {
     ring.produce_slot(0) = static_cast<int>(i);
     ring.stage(1);
-    ASSERT_EQ(ring.readable_refresh(), 0u) << "staged " << i + 1;
+    ASSERT_EQ(ring.readable_refresh(0), 0u) << "staged " << i + 1;
+    ASSERT_EQ(ring.readable_refresh(1), 0u) << "staged " << i + 1;
     ASSERT_EQ(ring.size_approx(), 0u);
   }
+  EXPECT_EQ(ring.produced(), kBatch - 1);
   // The slot that fills the batch publishes the whole run.
   ring.produce_slot(0) = static_cast<int>(kBatch - 1);
   ring.stage(1);
-  ASSERT_EQ(ring.readable_refresh(), kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    EXPECT_EQ(ring.consume_slot(i), static_cast<int>(i));
+  for (unsigned c = 0; c < 2; ++c) {
+    ASSERT_EQ(ring.readable_refresh(c), kBatch);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      EXPECT_EQ(ring.consume_slot(c, i), static_cast<int>(i));
+    }
+    ring.pop(c, kBatch);
   }
-  ring.pop(kBatch);
 
   // A short run stays invisible until flush().
   for (int i = 0; i < 3; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = 100 + i;
   ring.stage(3);
-  EXPECT_EQ(ring.readable_refresh(), 0u);
+  EXPECT_EQ(ring.readable_refresh(0), 0u);
   ring.flush();
-  ASSERT_EQ(ring.readable_refresh(), 3u);
+  ASSERT_EQ(ring.readable_refresh(0), 3u);
   ring.flush();  // nothing staged: no-op
-  EXPECT_EQ(ring.readable_refresh(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(ring.consume_slot(i), 100 + static_cast<int>(i));
+  EXPECT_EQ(ring.readable_refresh(0), 3u);
+  for (unsigned c = 0; c < 2; ++c) {
+    ASSERT_EQ(ring.readable_refresh(c), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(ring.consume_slot(c, i), 100 + static_cast<int>(i));
+    }
+    ring.pop(c, 3);
   }
-  ring.pop(3);
 
   // A multi-slot record staged in one call is never split by the batch
   // rule: the run that crosses the batch size publishes whole.
@@ -689,23 +701,23 @@ TEST(SpscRing, StagedSlotsInvisibleUntilBatchOrFlush) {
   }
   for (int i = 0; i < 5; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = -1 - i;
   ring.stage(5);
-  ASSERT_EQ(ring.readable_refresh(), kBatch - 2 + 5);
-  EXPECT_EQ(ring.consume_slot(kBatch - 2), -1);
-  EXPECT_EQ(ring.consume_slot(kBatch + 2), -5);
+  ASSERT_EQ(ring.readable_refresh(1), kBatch - 2 + 5);
+  EXPECT_EQ(ring.consume_slot(1, kBatch - 2), -1);
+  EXPECT_EQ(ring.consume_slot(1, kBatch + 2), -5);
 }
 
 // Staged slots occupy the ring: free_slots() must count them, and
 // produce_slot() must index past them, or a producer would overwrite its
 // own unpublished run. A producer with more items than room stages only
-// what fits (partial fit) and waits for the consumer to free the rest.
-TEST(SpscRing, FreeSlotsCountStagedSlots) {
-  spsc_ring<int> ring(8);
+// what fits (partial fit) and waits for the consumers to free the rest.
+TEST(BroadcastRing, FreeSlotsCountStagedSlots) {
+  broadcast_ring<int> ring(8, 1);
   EXPECT_EQ(ring.free_slots(), 8u);
   for (int i = 0; i < 5; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = 100 + i;
   ring.stage(5);
   EXPECT_EQ(ring.free_slots(), 3u);
   EXPECT_EQ(ring.free_slots_refresh(), 3u);
-  EXPECT_EQ(ring.readable_refresh(), 0u);
+  EXPECT_EQ(ring.readable_refresh(0), 0u);
   // Twelve items wanted, three fit.
   const std::size_t fit = ring.free_slots();
   for (std::size_t i = 0; i < fit; ++i) {
@@ -715,22 +727,22 @@ TEST(SpscRing, FreeSlotsCountStagedSlots) {
   EXPECT_EQ(ring.free_slots(), 0u);
   EXPECT_EQ(ring.free_slots_refresh(), 0u);
   ring.flush();
-  ASSERT_EQ(ring.readable_refresh(), 8u);
+  ASSERT_EQ(ring.readable_refresh(0), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(ring.consume_slot(i), 100 + static_cast<int>(i));
+    EXPECT_EQ(ring.consume_slot(0, i), 100 + static_cast<int>(i));
   }
-  ring.pop(3);
+  ring.pop(0, 3);
   EXPECT_EQ(ring.free_slots(), 3u);  // the full view refreshes
   ring.produce_slot(0) = 7;
   ring.stage(1);
   EXPECT_EQ(ring.free_slots(), 2u);
 }
 
-// Head and tail advance so staged runs straddle the buffer end, partly
+// Heads and tail advance so staged runs straddle the buffer end, partly
 // behind published-but-unconsumed slots: every write and read must route
 // through the mask.
-TEST(SpscRing, StagingWrapsAcrossTheSeam) {
-  spsc_ring<std::uint64_t> ring(8);
+TEST(BroadcastRing, StagingWrapsAcrossTheSeam) {
+  broadcast_ring<std::uint64_t> ring(8, 1);
   std::uint64_t next_in = 0;
   std::uint64_t next_out = 0;
   for (int round = 0; round < 12; ++round) {
@@ -742,33 +754,35 @@ TEST(SpscRing, StagingWrapsAcrossTheSeam) {
     }
     ring.flush();
     // Leave one slot unconsumed on odd rounds so the seam keeps moving.
-    const std::size_t n = ring.readable_refresh();
+    const std::size_t n = ring.readable_refresh(0);
     const std::size_t take = (round % 2 == 1) ? n - 1 : n;
     for (std::size_t i = 0; i < take; ++i) {
-      EXPECT_EQ(ring.consume_slot(i), next_out++);
+      EXPECT_EQ(ring.consume_slot(0, i), next_out++);
     }
-    ring.pop(take);
+    ring.pop(0, take);
   }
-  const std::size_t rest = ring.readable_refresh();
-  for (std::size_t i = 0; i < rest; ++i) {
-    EXPECT_EQ(ring.consume_slot(i), next_out++);
-  }
-  ring.pop(rest);
+  const std::size_t rest = ring.drain(0, [&](std::uint64_t pos,
+                                             std::uint64_t v) {
+    EXPECT_EQ(pos, next_out);
+    EXPECT_EQ(v, next_out++);
+  });
+  EXPECT_GT(rest, 0u);
+  EXPECT_EQ(ring.readable_refresh(0), 0u);
   EXPECT_EQ(next_out, next_in);
 }
 
-TEST(SpscRing, StagedTwoThreadStress) {
+TEST(BroadcastRing, StagedTwoThreadStress) {
   // Uneven staged runs (1..7 slots, like multi-slot records), flushes at
   // irregular points and before every wait for space, and a consumer
   // retiring uneven chunks: every value exactly once, in order.
-  spsc_ring<std::uint64_t> ring(32);
+  broadcast_ring<std::uint64_t> ring(32, 1);
   constexpr std::uint64_t kItems = 50000;
   std::atomic<bool> failed{false};
   std::thread consumer([&] {
     std::uint64_t expect = 0;
     std::size_t chunk = 1;
     while (expect < kItems) {
-      const std::size_t n = ring.readable();
+      const std::size_t n = ring.readable(0);
       if (n == 0) {
         std::this_thread::yield();
         continue;
@@ -776,13 +790,13 @@ TEST(SpscRing, StagedTwoThreadStress) {
       const std::size_t take = n < chunk ? n : chunk;
       chunk = chunk % 13 + 1;
       for (std::size_t i = 0; i < take; ++i) {
-        if (ring.consume_slot(i) != expect + i) {
+        if (ring.consume_slot(0, i) != expect + i) {
           failed.store(true);
           return;
         }
       }
       expect += take;
-      ring.pop(take);
+      ring.pop(0, take);
     }
   });
   std::uint64_t produced = 0;
@@ -816,78 +830,83 @@ std::size_t resident_bytes() {
 // The slot array is allocated, never initialised: building a 64 MiB ring
 // must not make its pages resident. A value-initialising ring writes every
 // slot and grows RSS by the full 64 MiB.
-TEST(SpscRing, ConstructionTouchesNoSlots) {
+TEST(BroadcastRing, ConstructionTouchesNoSlots) {
   constexpr std::size_t kBytes = std::size_t{64} << 20;
   const std::size_t before = resident_bytes();
   ASSERT_GT(before, 0u);
-  detect::event_ring ring(kBytes / sizeof(detect::pipe_event));
+  detect::event_ring ring(kBytes / sizeof(detect::pipe_event), 3);
   const std::size_t after = resident_bytes();
   ASSERT_EQ(ring.capacity() * sizeof(detect::pipe_event), kBytes);
   const std::size_t grown = after > before ? after - before : 0;
   EXPECT_LT(grown, std::size_t{4} << 20);
   // Writing a slot is what makes its page resident; the ring still works.
-  ring.produce_slot(0).seq = 42;
+  ring.produce_slot(0).a = 42;
   ring.publish(1);
-  ASSERT_EQ(ring.readable_refresh(), 1u);
-  EXPECT_EQ(ring.consume_slot(0).seq, 42u);
-  ring.pop(1);
+  for (unsigned c = 0; c < 3; ++c) {
+    ASSERT_EQ(ring.readable_refresh(c), 1u);
+    EXPECT_EQ(ring.consume_slot(c, 0).a, 42u);
+    ring.pop(c, 1);
+  }
 }
 #endif
 
-TEST(SpscRing, WrapsAroundManyTimes) {
-  spsc_ring<std::uint64_t> ring(4);
+TEST(BroadcastRing, WrapsAroundManyTimes) {
+  broadcast_ring<std::uint64_t> ring(4, 1);
   std::uint64_t next_out = 0;
   for (std::uint64_t v = 0; v < 1000; ++v) {
     ASSERT_GE(ring.free_slots(), 1u);
     ring.produce_slot(0) = v;
     ring.publish(1);
-    if (ring.readable_refresh() == ring.capacity() || v == 999) {
-      const std::size_t n = ring.readable_refresh();
+    if (ring.readable_refresh(0) == ring.capacity() || v == 999) {
+      const std::size_t n = ring.readable_refresh(0);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(ring.consume_slot(i), next_out++);
+        EXPECT_EQ(ring.consume_slot(0, i), next_out++);
       }
-      ring.pop(n);
+      ring.pop(0, n);
     }
   }
   EXPECT_EQ(next_out, 1000u);
 }
 
-TEST(SpscRing, FullMeansZeroFreeSlots) {
-  spsc_ring<int> ring(2);
+TEST(BroadcastRing, FullMeansZeroFreeSlots) {
+  broadcast_ring<int> ring(2, 1);
   ring.produce_slot(0) = 1;
   ring.produce_slot(1) = 2;
   ring.publish(2);
   EXPECT_EQ(ring.free_slots(), 0u);
-  ring.pop(1);
+  ASSERT_EQ(ring.readable(0), 2u);
+  ring.pop(0, 1);
   EXPECT_EQ(ring.free_slots(), 1u);  // producer refreshes its head cache
 }
 
 // readable() deliberately skips the refresh while its cached view is
 // nonempty; readable_refresh() must observe later publishes anyway — the
-// partial-multi-slot-event wait depends on it.
-TEST(SpscRing, ReadableRefreshSeesNewSlotsBehindStaleCache) {
-  spsc_ring<int> ring(8);
+// partial-multi-slot-record wait depends on it.
+TEST(BroadcastRing, ReadableRefreshSeesNewSlotsBehindStaleCache) {
+  broadcast_ring<int> ring(8, 2);
   ring.produce_slot(0) = 1;
   ring.publish(1);
-  EXPECT_EQ(ring.readable(), 1u);  // caches tail = 1
+  EXPECT_EQ(ring.readable(1), 1u);  // caches tail = 1
   ring.produce_slot(0) = 2;
   ring.publish(1);
   // The cached view is nonempty, so plain readable() may legitimately
   // still report 1; the refreshing variant must see both.
-  EXPECT_EQ(ring.readable_refresh(), 2u);
+  EXPECT_EQ(ring.readable_refresh(1), 2u);
 }
 
 // The producer-side livelock shape: free_slots() only refreshes its cached
-// consumer index when the view is COMPLETELY full, so a stale view showing
-// 0 < free < need would spin forever on a multi-slot event no matter how
-// far the consumer has advanced. free_slots_refresh() must see the drain.
-TEST(SpscRing, FreeSlotsRefreshSeesDrainBehindStalePartialView) {
-  spsc_ring<int> ring(8);
+// minimum head when the view is COMPLETELY full, so a stale view showing
+// 0 < free < need would spin forever on a multi-slot record no matter how
+// far the consumers have advanced. free_slots_refresh() must see the drain.
+TEST(BroadcastRing, FreeSlotsRefreshSeesDrainBehindStalePartialView) {
+  broadcast_ring<int> ring(8, 2);
   for (int i = 0; i < 6; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = i;
   ring.publish(6);
   EXPECT_EQ(ring.free_slots(), 2u);  // view: 2 free, not full, no refresh
-  ASSERT_EQ(ring.readable(), 6u);
-  ring.pop(6);  // consumer drains everything
+  for (unsigned c = 0; c < 2; ++c) {
+    ASSERT_EQ(ring.readable(c), 6u);
+    ring.pop(c, 6);  // every consumer drains everything
+  }
   // The lazy view still shows 2 free (it never looked full), which would
   // starve a producer waiting for, say, 4 slots.
   EXPECT_EQ(ring.free_slots(), 2u);
@@ -895,28 +914,191 @@ TEST(SpscRing, FreeSlotsRefreshSeesDrainBehindStalePartialView) {
   EXPECT_EQ(ring.free_slots(), 8u);  // cache now repaired
 }
 
-TEST(SpscRing, TwoThreadStress) {
-  // 64-slot ring, 200k items, batched production: the consumer must see
+// Free space is measured from the slowest consumer: however far the others
+// run ahead, the producer may not touch a slot one consumer still holds.
+TEST(BroadcastRing, ProducerNeverOverwritesUnretiredSlot) {
+  broadcast_ring<int> ring(8, 3);
+  for (int i = 0; i < 8; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = i;
+  ring.publish(8);
+  for (unsigned c = 0; c < 2; ++c) {
+    ASSERT_EQ(ring.readable(c), 8u);
+    ring.pop(c, 8);
+  }
+  EXPECT_EQ(ring.free_slots_refresh(), 0u);  // consumer 2 has retired nothing
+  EXPECT_EQ(ring.size_approx(), 8u);
+  ASSERT_EQ(ring.readable(2), 8u);
+  ring.pop(2, 3);
+  ASSERT_EQ(ring.free_slots_refresh(), 3u);
+  for (int i = 0; i < 3; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = 8 + i;
+  ring.publish(3);
+  EXPECT_EQ(ring.free_slots_refresh(), 0u);
+  // Consumer 2's five unretired slots are intact behind the new ones.
+  ASSERT_EQ(ring.readable_refresh(2), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(ring.consume_slot(2, i), 3 + static_cast<int>(i));
+  }
+  for (unsigned c = 0; c < 2; ++c) {
+    ASSERT_EQ(ring.readable_refresh(c), 3u);
+    EXPECT_EQ(ring.consume_slot(c, 0), 8);
+  }
+}
+
+// Three consumers at different speeds each see every slot, in order, at
+// capacity 8 across thousands of wraps. A producer that overwrote a slot
+// before its slowest consumer retired it would show as a wrong value.
+TEST(BroadcastRing, ThreeConsumersSeeEverySlotInOrder) {
+  broadcast_ring<std::uint64_t> ring(8, 3);
+  constexpr std::uint64_t kItems = 40000;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> consumers;
+  for (unsigned c = 0; c < 3; ++c) {
+    consumers.emplace_back([&, c] {
+      std::uint64_t expect = 0;
+      std::size_t chunk = c + 1;
+      while (expect < kItems) {
+        const std::size_t n = ring.readable(c);
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        const std::size_t take = n < chunk ? n : chunk;
+        chunk = chunk % (3 + 2 * c) + 1;
+        for (std::size_t i = 0; i < take; ++i) {
+          if (ring.consume_slot(c, i) != expect + i ||
+              ring.position(c) + i != expect + i) {
+            failed.store(true);
+            return;
+          }
+        }
+        if (c == 2 && expect % 64 == 0) std::this_thread::yield();  // slowest
+        expect += take;
+        ring.pop(c, take);
+      }
+    });
+  }
+  std::uint64_t produced = 0;
+  while (produced < kItems && !failed.load()) {
+    if (ring.free_slots() == 0) {
+      ring.flush();
+      while (ring.free_slots_refresh() == 0 && !failed.load()) {
+        std::this_thread::yield();
+      }
+      continue;
+    }
+    ring.produce_slot(0) = produced++;
+    ring.stage(1);
+  }
+  ring.flush();
+  for (std::thread& t : consumers) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(ring.produced(), kItems);
+}
+
+// A consumer that stops reading must neither block the producer nor lose an
+// event. Its head passes to the producer (here, through a release/acquire
+// flag), which moves its unread slots to a spill, in order, whenever the
+// ring would otherwise be full. The spill followed by what is left of it in
+// the ring is exactly the stream from where it stopped.
+TEST(BroadcastRing, DeadConsumerSlotsReachItsSpillInOrder) {
+  broadcast_ring<std::uint64_t> ring(8, 3);
+  constexpr std::uint64_t kItems = 20000;
+  constexpr std::uint64_t kDiesAt = 37;
+  std::atomic<bool> dead{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> consumers;
+  for (unsigned c = 0; c < 2; ++c) {
+    consumers.emplace_back([&, c] {
+      std::uint64_t expect = 0;
+      while (expect < kItems) {
+        const std::size_t n = ring.readable(c);
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (ring.consume_slot(c, i) != expect + i) failed.store(true);
+        }
+        expect += n;
+        ring.pop(c, n);
+      }
+    });
+  }
+  std::thread mortal([&] {
+    std::uint64_t expect = 0;
+    while (expect < kDiesAt) {
+      const std::size_t n = ring.readable(2);
+      if (n == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      const std::size_t take =
+          std::min<std::size_t>(n, static_cast<std::size_t>(kDiesAt - expect));
+      for (std::size_t i = 0; i < take; ++i) {
+        if (ring.consume_slot(2, i) != expect + i) failed.store(true);
+      }
+      expect += take;
+      ring.pop(2, take);
+    }
+    dead.store(true, std::memory_order_release);  // its last act
+  });
+  std::vector<std::uint64_t> spill;
+  std::vector<std::uint64_t> spill_pos;
+  std::uint64_t produced = 0;
+  while (produced < kItems) {
+    if (ring.free_slots() == 0) {
+      ring.flush();
+      while (ring.free_slots_refresh() == 0) {
+        if (dead.load(std::memory_order_acquire)) {
+          ring.drain(2, [&](std::uint64_t pos, std::uint64_t v) {
+            spill_pos.push_back(pos);
+            spill.push_back(v);
+          });
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    }
+    ring.produce_slot(0) = produced++;
+    ring.stage(1);
+  }
+  ring.flush();
+  for (std::thread& t : consumers) t.join();
+  mortal.join();
+  EXPECT_FALSE(failed.load());
+  ASSERT_FALSE(spill.empty()) << "the producer never had to move the spill";
+  ring.drain(2, [&](std::uint64_t pos, std::uint64_t v) {
+    spill_pos.push_back(pos);
+    spill.push_back(v);
+  });
+  ASSERT_EQ(spill.size(), kItems - kDiesAt);
+  for (std::size_t i = 0; i < spill.size(); ++i) {
+    ASSERT_EQ(spill[i], kDiesAt + i) << i;
+    ASSERT_EQ(spill_pos[i], kDiesAt + i) << i;
+  }
+}
+
+TEST(BroadcastRing, TwoThreadStress) {
+  // 64-slot ring, 50k items, batched production: the consumer must see
   // every value exactly once, in order.
-  spsc_ring<std::uint64_t> ring(64);
+  broadcast_ring<std::uint64_t> ring(64, 1);
   constexpr std::uint64_t kItems = 50000;
   std::atomic<bool> failed{false};
   std::thread consumer([&] {
     std::uint64_t expect = 0;
     while (expect < kItems) {
-      const std::size_t n = ring.readable();
+      const std::size_t n = ring.readable(0);
       if (n == 0) {
         std::this_thread::yield();
         continue;
       }
       for (std::size_t i = 0; i < n; ++i) {
-        if (ring.consume_slot(i) != expect + i) {
+        if (ring.consume_slot(0, i) != expect + i) {
           failed.store(true);
           return;
         }
       }
       expect += n;
-      ring.pop(n);
+      ring.pop(0, n);
     }
   });
   std::uint64_t produced = 0;
