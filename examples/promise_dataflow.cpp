@@ -4,11 +4,9 @@
 // purely through promises; the detector verifies the wiring, then the same
 // program runs on the parallel pool.
 //
-//        source
-//        /    \
-//     left    right
-//        \    /
-//         sink
+//     source ----> left ----+
+//       |                   +----> sink
+//       +--------> right ---+
 
 #include <cstdio>
 

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -198,29 +199,50 @@ class reachability_graph {
   /// predecessor edges, and dashed LSA pointers — the paper's Fig. 3 view.
   std::string to_dot();
 
- private:
-  struct node {
-    // Immutable spawn-tree facts.
-    task_id spawn_parent = k_invalid_task;
-    interval_label own_label;  // the task's own label, never updated by merges
-    bool terminated = false;
+  /// Number of entries in the non-tree predecessor side table, released
+  /// lists included (a released list is reused before the table grows).
+  std::size_t non_tree_lists() const noexcept { return nt_lists_.size(); }
 
-    std::uint32_t uf_size = 1;  // union-find size, valid at representatives
+ private:
+  /// `node::nt` of a set with no non-tree predecessor.
+  static constexpr std::uint32_t k_no_list = 0xFFFFFFFFu;
+
+  // A task vertex. Trivially copyable, so growing nodes_ is a plain copy;
+  // the set's non-tree predecessors live in nt_lists_ (DESIGN.md §9, "Task
+  // vertices"). Wide members first, so the fields pack into 72 bytes.
+  struct node {
+    interval_label own_label;  // the task's own label, never updated by merges
 
     // Set metadata; authoritative only at the representative.
     interval_label label;
-    // Non-tree predecessors. Inline capacity sized from the Table 2
-    // workload profile: stencil consumers hold up to 5 (Jacobi tile joins
-    // its own tile + 4 neighbours, Smith-Waterman 3, Strassen combine 4),
-    // and set merges concatenate two such lists transiently; 6 keeps the
-    // common fan-ins off the heap (see bench/micro_dsr BM_PrecedeNtFanIn).
-    support::small_vector<task_id, 6> nt;
+    std::uint32_t nt = k_no_list;  // index into nt_lists_, or k_no_list
     task_id lsa = k_invalid_task;
 
     // Query epoch stamps (avoid revisits inside one PRECEDE call).
     std::uint64_t path_epoch = 0;
     std::uint64_t lsa_scan_epoch = 0;
+
+    task_id spawn_parent = k_invalid_task;  // immutable spawn-tree fact
+    std::uint32_t uf_size = 1;  // union-find size, valid at representatives
+    bool terminated = false;
   };
+  static_assert(std::is_trivially_copyable_v<node> && sizeof(node) <= 72);
+
+  // Non-tree predecessors of one set. Inline capacity sized from the Table 2
+  // workload profile: stencil consumers hold up to 5 (Jacobi tile joins its
+  // own tile + 4 neighbours, Smith-Waterman 3, Strassen combine 4), and set
+  // merges concatenate two such lists transiently; 6 keeps the common
+  // fan-ins off the heap (see bench/micro_dsr BM_PrecedeNtFanIn).
+  using nt_list = support::small_vector<task_id, 6>;
+
+  /// The non-tree predecessors of the set whose representative is `rep`.
+  std::span<const task_id> non_tree_of(task_id rep) const {
+    const std::uint32_t l = nodes_[rep].nt;
+    if (l == k_no_list) return {};
+    return {nt_lists_[l].data(), nt_lists_[l].size()};
+  }
+  /// Appends `p` to `rep`'s list unless present; true iff it was added.
+  bool add_non_tree(task_id rep, task_id p);
 
   task_id find(task_id t);
   void merge(task_id ancestor_side, task_id descendant_side);
@@ -265,6 +287,12 @@ class reachability_graph {
   // one or two finds; this is the hottest pointer chase in the detector).
   std::vector<task_id> uf_parent_;
   std::vector<node> nodes_;
+  // Side table of non-tree predecessor lists, one per set that has any
+  // (node::nt indexes it). Lists are never empty while in use; a merge that
+  // appends one list to another releases the emptied one's index to
+  // free_lists_ for the next set that gains an edge.
+  std::vector<nt_list> nt_lists_;
+  std::vector<std::uint32_t> free_lists_;
   label_allocator labels_;
   epoch_id_map map_;
   task_id next_id_ = 0;  // next runtime id (monotone; survives compaction)

@@ -35,9 +35,9 @@ task_id reachability_graph::create_task(task_id parent) {
     // parent's set already has incoming non-tree edges, otherwise it inherits
     // the parent's LSA. Metadata lives at the parent's representative.
     const task_id rp = find(pi);
-    n.lsa = nodes_[rp].nt.empty() ? nodes_[rp].lsa : pi;
+    n.lsa = nodes_[rp].nt == k_no_list ? nodes_[rp].lsa : pi;
   }
-  nodes_.push_back(std::move(n));
+  nodes_.push_back(n);
   ++stats_.tasks_created;
   return id;
 }
@@ -81,11 +81,7 @@ bool reachability_graph::on_get(task_id waiter, task_id target) {
     // first), and sources predating it answer by set-label subsumption
     // before walking — the tombstone only preserves list non-emptiness for
     // the child-LSA rule in create_task.
-    const task_id rw = find(wi);
-    const task_id tomb = map_.tombstone_index();
-    if (!nodes_[rw].nt.contains(tomb)) {
-      nodes_[rw].nt.push_back(tomb);
-    }
+    add_non_tree(find(wi), map_.tombstone_index());
     ++stats_.non_tree_joins;
     return false;
   }
@@ -113,13 +109,26 @@ bool reachability_graph::on_get(task_id waiter, task_id target) {
     }
     return true;
   }
-  const task_id rw = find(wi);
-  if (!nodes_[rw].nt.contains(ti)) {
-    nodes_[rw].nt.push_back(ti);
-    memo_invalidate();
-  }
+  if (add_non_tree(find(wi), ti)) memo_invalidate();
   ++stats_.non_tree_joins;
   return false;
+}
+
+bool reachability_graph::add_non_tree(task_id rep, task_id p) {
+  const std::span<const task_id> preds = non_tree_of(rep);
+  if (std::find(preds.begin(), preds.end(), p) != preds.end()) return false;
+  std::uint32_t& l = nodes_[rep].nt;
+  if (l == k_no_list) {
+    if (free_lists_.empty()) {
+      l = static_cast<std::uint32_t>(nt_lists_.size());
+      nt_lists_.emplace_back();
+    } else {
+      l = free_lists_.back();
+      free_lists_.pop_back();
+    }
+  }
+  nt_lists_[l].push_back(p);
+  return true;
 }
 
 void reachability_graph::on_finish_join(task_id owner, task_id joined) {
@@ -193,12 +202,19 @@ void reachability_graph::merge(task_id ancestor_side, task_id descendant_side) {
   uf_parent_[loser] = winner;
   nodes_[winner].uf_size += nodes_[loser].uf_size;
 
-  if (winner != ra) {
-    nodes_[winner].nt.append(nodes_[ra].nt);
-    nodes_[ra].nt = {};
-  } else {
-    nodes_[winner].nt.append(nodes_[rd].nt);
-    nodes_[rd].nt = {};
+  // The winner's predecessors, then the loser's: a winner without a list
+  // adopts the loser's, otherwise the loser's list is appended and released.
+  const std::uint32_t ll = nodes_[loser].nt;
+  if (ll != k_no_list) {
+    std::uint32_t& wl = nodes_[winner].nt;
+    if (wl == k_no_list) {
+      wl = ll;
+    } else {
+      nt_lists_[wl].append(nt_lists_[ll]);
+      nt_lists_[ll].clear();
+      free_lists_.push_back(ll);
+    }
+    nodes_[loser].nt = k_no_list;
   }
   nodes_[winner].label = label;
   nodes_[winner].lsa = lsa;
@@ -295,7 +311,7 @@ bool reachability_graph::visit(task_id a, task_id ra, task_id start) {
     ++stats_.visit_steps;
 
     // Lines 15-20: immediate non-tree predecessors of x's set.
-    for (const task_id p : nodes_[rx].nt) {
+    for (const task_id p : non_tree_of(rx)) {
       ++stats_.nt_edges_walked;
       stack.push_back(p);
     }
@@ -310,7 +326,7 @@ bool reachability_graph::visit(task_id a, task_id ra, task_id start) {
       if (nodes_[rv].lsa_scan_epoch == query_epoch_) break;
       nodes_[rv].lsa_scan_epoch = query_epoch_;
       ++stats_.lsa_hops;
-      for (const task_id p : nodes_[rv].nt) {
+      for (const task_id p : non_tree_of(rv)) {
         ++stats_.nt_edges_walked;
         stack.push_back(p);
       }
@@ -386,7 +402,7 @@ precede_explanation reachability_graph::explain(task_id a, task_id b) {
     if (nodes_[rx].path_epoch == query_epoch_) continue;
     nodes_[rx].path_epoch = query_epoch_;
 
-    for (const task_id p : nodes_[rx].nt) {
+    for (const task_id p : non_tree_of(rx)) {
       visited.push_back({p, idx});
       stack.push_back(static_cast<std::int32_t>(visited.size()) - 1);
     }
@@ -396,7 +412,7 @@ precede_explanation reachability_graph::explain(task_id a, task_id b) {
       if (nodes_[rv].lsa_scan_epoch == query_epoch_) break;
       nodes_[rv].lsa_scan_epoch = query_epoch_;
       ++ex.lsa_hops;
-      for (const task_id p : nodes_[rv].nt) {
+      for (const task_id p : non_tree_of(rv)) {
         visited.push_back({p, idx});
         stack.push_back(static_cast<std::int32_t>(visited.size()) - 1);
       }
@@ -416,10 +432,10 @@ precede_explanation reachability_graph::explain(task_id a, task_id b) {
 }
 
 std::vector<task_id> reachability_graph::set_non_tree_predecessors(task_id t) {
-  const task_id r = find(idx(t));
+  const std::span<const task_id> preds = non_tree_of(find(idx(t)));
   std::vector<task_id> out;
-  out.reserve(nodes_[r].nt.size());
-  for (const task_id p : nodes_[r].nt) out.push_back(map_.to_id(p));
+  out.reserve(preds.size());
+  for (const task_id p : preds) out.push_back(map_.to_id(p));
   return out;
 }
 
@@ -452,7 +468,7 @@ std::string reachability_graph::to_dot() {
   }
   for (const auto& [rep, members] : sets) {
     (void)members;
-    for (const task_id p : nodes_[rep].nt) {
+    for (const task_id p : non_tree_of(rep)) {
       out << "  d" << find(p) << " -> d" << rep
           << " [color=red, label=\"nt\"];\n";
     }
@@ -471,9 +487,11 @@ std::size_t reachability_graph::memory_bytes() const {
                       (retired_set_of_.capacity() +
                        retired_parent_set_of_.capacity()) *
                           sizeof(std::pair<task_id, task_id>) +
-                      map_.kept().capacity() * sizeof(task_id);
-  for (const node& n : nodes_) {
-    if (!n.nt.uses_inline_storage()) bytes += n.nt.capacity() * sizeof(task_id);
+                      map_.kept().capacity() * sizeof(task_id) +
+                      nt_lists_.capacity() * sizeof(nt_list) +
+                      free_lists_.capacity() * sizeof(std::uint32_t);
+  for (const nt_list& l : nt_lists_) {
+    if (!l.uses_inline_storage()) bytes += l.capacity() * sizeof(task_id);
   }
   return bytes;
 }
@@ -583,6 +601,7 @@ bool reachability_graph::try_compact(std::span<const task_id> live) {
   // Rebuild storage: kept slots 0..k-1, tombstone at k.
   std::vector<node> nn(static_cast<std::size_t>(k) + 1);
   std::vector<task_id> np(static_cast<std::size_t>(k) + 1);
+  std::vector<nt_list> nl;
   for (task_id i = 0; i < k; ++i) {
     const task_id oi = idx(kept[i]);
     const node& s = nodes_[oi];
@@ -602,10 +621,13 @@ bool reachability_graph::try_compact(std::span<const task_id> live) {
       // child-LSA rule in create_task branches on it); the LSA pointer is
       // dropped — every edge it could reach predates the compaction and is
       // never needed by a query whose source survives it.
-      const node& r = nodes_[find(oi)];
-      d.label = r.label;
+      const task_id r = find(oi);
+      d.label = nodes_[r].label;
       d.uf_size = members_of[s_slot];
-      if (!r.nt.empty()) d.nt.push_back(k);
+      if (!non_tree_of(r).empty()) {
+        d.nt = static_cast<std::uint32_t>(nl.size());
+        nl.emplace_back().push_back(k);
+      }
       np[i] = i;
     } else {
       d.label = s.own_label;
@@ -620,6 +642,8 @@ bool reachability_graph::try_compact(std::span<const task_id> live) {
   ++stats_.epoch_compactions;
   nodes_ = std::move(nn);
   uf_parent_ = std::move(np);
+  nt_lists_ = std::move(nl);
+  free_lists_ = {};
   nodes_.shrink_to_fit();
   uf_parent_.shrink_to_fit();
   retired_set_of_.shrink_to_fit();

@@ -337,6 +337,110 @@ TEST_F(reachability_test, DotExportShowsSetsAndEdges) {
   EXPECT_NE(dot.find("T0,T1"), std::string::npos);
 }
 
+// ------------------------------------------- non-tree predecessor side table
+
+// Builds p with predecessor list [a] and its child c with [b]; with
+// `heavy_child` c first absorbs a grandchild, so c's set wins the union by
+// size when p's finish joins it.
+struct two_lists {
+  task_id root, a, b, p, c;
+};
+two_lists build_two_lists(reachability_graph& g, bool heavy_child) {
+  two_lists t{};
+  t.root = g.create_root();
+  t.a = g.create_task(t.root);
+  g.on_terminate(t.a);
+  t.b = g.create_task(t.root);
+  g.on_terminate(t.b);
+  t.p = g.create_task(t.root);
+  EXPECT_FALSE(g.on_get(t.p, t.a));
+  t.c = g.create_task(t.p);
+  EXPECT_FALSE(g.on_get(t.c, t.b));
+  if (heavy_child) {
+    const task_id c1 = g.create_task(t.c);
+    g.on_terminate(c1);
+    g.on_finish_join(t.c, c1);
+  }
+  g.on_terminate(t.c);
+  EXPECT_EQ(g.non_tree_lists(), 2u);
+  g.on_finish_join(t.p, t.c);
+  return t;
+}
+
+TEST_F(reachability_test, MergeListsWinnerThenLoser) {
+  // Equal sizes: the ancestor side (p) wins.
+  const two_lists t = build_two_lists(g, /*heavy_child=*/false);
+  EXPECT_EQ(g.set_non_tree_predecessors(t.p),
+            (std::vector<task_id>{t.a, t.b}));
+  EXPECT_EQ(g.set_label(t.p), g.set_label(t.c));
+  EXPECT_TRUE(g.precedes(t.a, t.p));
+  EXPECT_TRUE(g.precedes(t.b, t.p));
+
+  // The descendant side (c) outweighs p: c's entries come first.
+  reachability_graph h;
+  const two_lists u = build_two_lists(h, /*heavy_child=*/true);
+  EXPECT_EQ(h.set_non_tree_predecessors(u.p),
+            (std::vector<task_id>{u.b, u.a}));
+  EXPECT_TRUE(h.precedes(u.a, u.p));
+  EXPECT_TRUE(h.precedes(u.b, u.p));
+}
+
+TEST_F(reachability_test, ReleasedListIsReusedEmpty) {
+  const two_lists t = build_two_lists(g, /*heavy_child=*/false);
+  // The merge released one of the two lists; the next set that gains an
+  // edge takes it instead of growing the table, and sees none of its old
+  // entries.
+  const task_id d = g.create_task(t.p);
+  g.on_terminate(d);
+  const task_id e = g.create_task(t.p);
+  EXPECT_FALSE(g.on_get(e, d));
+  EXPECT_EQ(g.non_tree_lists(), 2u);
+  EXPECT_EQ(g.set_non_tree_predecessors(e), (std::vector<task_id>{d}));
+  EXPECT_EQ(g.set_non_tree_predecessors(t.p),
+            (std::vector<task_id>{t.a, t.b}));
+  EXPECT_TRUE(g.precedes(d, e));
+  // With no released list left, a third list grows the table.
+  g.on_terminate(e);
+  const task_id f = g.create_task(t.p);
+  EXPECT_FALSE(g.on_get(f, e));
+  EXPECT_EQ(g.non_tree_lists(), 3u);
+}
+
+TEST_F(reachability_test, CompactedListStillMakesChildLsa) {
+  const task_id root = g.create_root();
+  const task_id a = g.create_task(root);
+  g.on_terminate(a);
+  g.on_finish_join(root, a);
+  const task_id p = g.create_task(root);
+  EXPECT_FALSE(g.on_get(p, a));
+  const std::vector<task_id> live{root, p};
+  ASSERT_TRUE(g.try_compact(live));
+  // p's list collapsed to the tombstone (reported as k_invalid_task) in a
+  // rebuilt table with one entry.
+  EXPECT_EQ(g.set_non_tree_predecessors(p),
+            (std::vector<task_id>{k_invalid_task}));
+  EXPECT_EQ(g.non_tree_lists(), 1u);
+  // Algorithm 2's child-LSA rule: p's set has a predecessor, so p is its
+  // child's LSA; q's set has none, so q's child inherits q's LSA.
+  const task_id q = g.create_task(p);
+  EXPECT_EQ(g.set_lsa(q), p);
+  const task_id r = g.create_task(q);
+  EXPECT_EQ(g.set_lsa(r), p);
+  EXPECT_TRUE(g.precedes(a, r));
+  EXPECT_EQ(g.set_lsa(root), k_invalid_task);
+}
+
+// A vertex is a small fixed record: tasks without non-tree joins hold no
+// predecessor storage (DESIGN.md §9, "Task vertices").
+TEST(ReachabilityMemory, VerticesWithoutNonTreeJoinsStaySmall) {
+  reachability_graph g;
+  const task_id root = g.create_root();
+  for (int i = 1; i < 4096; ++i) g.on_terminate(g.create_task(root));
+  ASSERT_EQ(g.task_count(), 4096u);
+  EXPECT_EQ(g.non_tree_lists(), 0u);
+  EXPECT_LE(g.memory_bytes(), 4096u * 80u);
+}
+
 // Property-style sweep: random join sequences must keep the interval-label
 // invariants (ancestor subsumption on own labels; representative labels
 // match the shallowest member).
