@@ -203,11 +203,12 @@ void BM_PooledThreadStartJoin(benchmark::State& state) {
 BENCHMARK(BM_PooledThreadStartJoin)->UseRealTime();
 
 // Ring transport cost per item against continuously-draining consumers:
-// arg 0 selects per-item publish (0: one release store per item, one
-// cache-line ping-pong with the consumers per item) or staged publish (1:
-// the ring publishes k_publish_batch items at a time, flushing only before
-// a wait for space — the discipline the detector transport uses); arg 1
-// is the number of consumers, each of which reads every item.
+// arg 0 selects per-item publish (0: a flush after every push, so one
+// copy and one release store per item, one cache-line ping-pong with the
+// consumers per item) or staged publish (1: the ring copies and publishes
+// k_publish_batch items at a time from its private block, flushing only
+// before a wait for space — the discipline the detector transport uses);
+// arg 1 is the number of consumers, each of which reads every item.
 void BM_RingPublishBatch(benchmark::State& state) {
   const bool staged = state.range(0) != 0;
   const auto consumers = static_cast<unsigned>(state.range(1));
@@ -241,12 +242,8 @@ void BM_RingPublishBatch(benchmark::State& state) {
       while (ring.free_slots_refresh() == 0) {
       }
     }
-    ring.produce_slot(0) = items++;
-    if (staged) {
-      ring.stage(1);
-    } else {
-      ring.publish(1);
-    }
+    ring.push(items++);
+    if (!staged) ring.flush();
   }
   ring.flush();
   stop.store(true, std::memory_order_release);
@@ -262,13 +259,16 @@ BENCHMARK(BM_RingPublishBatch)
     ->UseRealTime();
 
 // The pipelined detector end to end on crypt's per-task shape: the root
-// spawns 4,096 future tasks, each reading and writing one 8-byte block
+// spawns 65,536 future tasks, each reading and writing one 8-byte block
 // with one bulk access apiece and stored into a handle array; the root then
 // reads the handles in bulk and gets every future. serial_dfs executes it,
 // three checker threads check it. Reports nanoseconds per wire event
-// (ns_per_event, printed in seconds with an SI prefix).
+// (ns_per_event, printed in seconds with an SI prefix). At this size a run
+// sends about 393,000 events, some 24 laps of the 16,384-slot ring, so
+// the per-event transport dominates the run's fixed cost, as in
+// perfbench's crypt-tasks.
 void BM_PipelinedCryptShape(benchmark::State& state) {
-  constexpr std::size_t kTasks = 4096;
+  constexpr std::size_t kTasks = 65536;
   shared_array<std::uint8_t> input(kTasks * 8);
   shared_array<std::uint8_t> output(kTasks * 8);
   shared_array<future<void>> handles(kTasks);

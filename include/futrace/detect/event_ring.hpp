@@ -27,9 +27,11 @@
 /// (the report merge key is (structure events replayed, ring position)).
 /// Sites travel as 32-bit ids into the detector's wire_site_table.
 ///
-/// The producer stages every event and the ring publishes staged slots in
-/// batches (broadcast_ring::k_publish_batch, plus a flush before every
-/// producer wait and at end of stream).
+/// The producer stages every event in its ring's private block, and a
+/// flush copies the block into the ring in one burst and publishes it with
+/// one release store: when the block holds broadcast_ring::k_publish_batch
+/// events, before every producer wait, at every structure event when there
+/// are several producers, and at end of stream.
 
 #include <array>
 #include <cstddef>

@@ -13,8 +13,8 @@
 ///     construction: the slot array is allocated but never initialised.
 ///     Slots are trivially copyable and only published slots are ever
 ///     read, so construction cost and resident memory do not scale with
-///     capacity — a page becomes resident when the producer first writes
-///     a slot on it. A full ring means backpressure (the producer spins),
+///     capacity — a page becomes resident when a flush first copies a slot
+///     onto it. A full ring means backpressure (the producer spins),
 ///     never growth.
 ///   - A slot is overwritten only after every consumer has retired it: the
 ///     producer's free space is measured from the minimum head. Each head
@@ -24,20 +24,28 @@
 ///     would be overwritten). The ring does not know who owns a head; it
 ///     only requires that one thread at a time call the consumer side for
 ///     it.
-///   - Staged publish: the producer writes slots in place past the tail and
-///     stages them; one release store publishes the whole staged run when
-///     it reaches k_publish_batch slots or when the producer calls flush().
-///     A producer must flush before it waits for space (a consumer can
-///     only free slots it can see) and when its stream ends. Slots staged
-///     together become visible together, so a multi-slot record staged in
-///     one call is never seen torn. A consumer observes a whole batch with
-///     one acquire load and retires it with one release store.
+///   - Staged publish from a private block: push() appends a slot to a
+///     block of k_publish_batch slots that only the producer touches, and
+///     flush() copies the staged run into the slot array in one burst (two
+///     pieces when it crosses the end of the array) and publishes it with
+///     one release store of the tail. A full block flushes itself. A
+///     producer must flush before it waits for space (a consumer can only
+///     free slots it can see) and when its stream ends. A consumer observes
+///     a whole batch with one acquire load and retires it with one release
+///     store.
 ///   - No sharing beyond the indices. The tail and each head live on their
 ///     own cache lines, and each side keeps a cached copy of the opposite
 ///     index so the common case (space available / data available)
-///     re-reads its own cache line only. The producer caches the minimum
-///     head and re-reads the heads only when its view looks full; the
-///     staged count sits on the producer's line, next to that cache.
+///     re-reads its own cache line only. The producer keeps its own copy of
+///     the tail, caches the minimum head and re-reads the heads only when
+///     its view looks full: a push touches the block and the producer's
+///     line only, never the tail line the consumers poll nor, until a
+///     flush, the slot lines they read.
+///
+/// Why a private block: writing each slot in place past the tail costs the
+/// producer a store into a line the consumers are reading around, and that
+/// store, not the checking behind it, bounded the pipelined detector on
+/// cheap-to-check events (DESIGN.md §10, "Staged publish").
 ///
 /// Indices are free-running 64-bit counters masked on access, so fullness is
 /// `tail - min(head) == capacity` with no reserved slot and no wraparound
@@ -48,6 +56,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -98,51 +107,41 @@ class broadcast_ring {
   }
 
   /// Like free_slots(), but always refreshes the cached minimum head — for
-  /// a producer spinning until a multi-slot record fits. The lazy rule
-  /// above only triggers on a completely-full view, so a stale view showing
-  /// 0 < free < need would never refresh and the wait would never observe
-  /// the consumers' progress (a livelock, not just staleness).
+  /// a producer spinning until the consumers free room. The lazy rule above
+  /// only triggers on a completely-full view, so a stale view showing
+  /// 0 < free < need would never refresh, and a wait for `need` slots would
+  /// never observe the consumers' progress (a livelock, not just
+  /// staleness).
   std::size_t free_slots_refresh() noexcept {
     refresh_min_head();
     return capacity() - static_cast<std::size_t>(produced() - min_head_cache_);
   }
 
-  /// The i-th writable slot past the staged run. Valid for
-  /// i < free_slots(); its contents reach the consumers only once staged
-  /// and published.
-  T& produce_slot(std::size_t i) noexcept {
-    return slots_.get()[static_cast<std::size_t>(produced() + i) & mask_];
-  }
-
-  /// Stream position of produce_slot(0): every slot written so far,
+  /// Stream position of the next push(): every slot pushed so far,
   /// published or staged.
-  std::uint64_t produced() const noexcept {
-    return tail_.load(std::memory_order_relaxed) + staged_;
+  std::uint64_t produced() const noexcept { return published_ + staged_; }
+
+  /// Appends `v` to the staged block; requires free_slots() != 0. It stays
+  /// invisible to the consumers until the block holds k_publish_batch slots
+  /// (this call then flushes it) or until flush().
+  void push(const T& v) noexcept {
+    FUTRACE_DCHECK(produced() - min_head_cache_ < capacity());
+    block_[staged_] = v;
+    if (++staged_ == k_publish_batch) flush();
   }
 
-  /// Appends the first `n` written slots to the staged run. They stay
-  /// invisible to the consumers until the run reaches k_publish_batch
-  /// slots (this call then publishes it) or until flush().
-  void stage(std::size_t n) noexcept {
-    FUTRACE_DCHECK(produced() + n - min_head_cache_ <= capacity());
-    staged_ += n;
-    if (staged_ >= k_publish_batch) flush();
-  }
-
-  /// Publishes the staged run with one release store (a consumer's
-  /// matching acquire sees every staged slot fully written).
+  /// Copies the staged block into the slot array — one burst, or two when
+  /// it crosses the end of the array — and publishes it with one release
+  /// store (a consumer's matching acquire sees every slot fully written).
   void flush() noexcept {
     if (staged_ == 0) return;
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    tail_.store(tail + staged_, std::memory_order_release);
+    const std::size_t start = static_cast<std::size_t>(published_) & mask_;
+    const std::size_t first = std::min(staged_, capacity() - start);
+    std::memcpy(slots_.get() + start, block_, first * sizeof(T));
+    std::memcpy(slots_.get(), block_ + first, (staged_ - first) * sizeof(T));
+    published_ += staged_;
     staged_ = 0;
-  }
-
-  /// Stages the first `n` written slots and flushes: they, and everything
-  /// staged before them, become visible now.
-  void publish(std::size_t n) noexcept {
-    stage(n);
-    flush();
+    tail_.store(published_, std::memory_order_release);
   }
 
   // -- Consumer side (the owner of consumer c's head) ------------------------
@@ -159,9 +158,8 @@ class broadcast_ring {
   }
 
   /// Like readable(), but always refreshes the cached tail — for a
-  /// consumer waiting on the remaining slots of a multi-slot record whose
-  /// prefix is already visible (the cached view is nonempty, so readable()
-  /// would never refresh and the wait would never observe progress).
+  /// consumer that wants everything published so far while its cached view
+  /// is still nonempty (readable() would not refresh then).
   std::size_t readable_refresh(unsigned c) noexcept {
     cursor& cur = cursors_[c];
     const std::uint64_t head = cur.head.load(std::memory_order_relaxed);
@@ -240,9 +238,12 @@ class broadcast_ring {
   std::size_t mask_ = 0;
   unsigned consumers_ = 0;
   std::unique_ptr<cursor[]> cursors_;
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer-owned
-  alignas(64) std::uint64_t min_head_cache_ = 0;    // producer's view of heads
-  std::size_t staged_ = 0;  // written past tail, not yet published
+  alignas(64) std::atomic<std::uint64_t> tail_{0};  // the consumers poll it
+  // Producer-owned from here on.
+  alignas(64) std::uint64_t published_ = 0;  // the producer's copy of tail_
+  std::uint64_t min_head_cache_ = 0;         // its view of the heads
+  std::size_t staged_ = 0;                   // slots in block_
+  alignas(64) T block_[k_publish_batch];     // staged, not yet copied
 };
 
 }  // namespace futrace::support

@@ -676,8 +676,9 @@ struct parallel_detector::impl {
   }
 
   /// Writes `ev` once into producer p's ring, for every consumer; in
-  /// buffer mode it goes straight to the spills. The ring publishes staged
-  /// slots in batches; finalize publishes the rest.
+  /// buffer mode it goes straight to the spills. The ring stages it in the
+  /// producer's private block and publishes full blocks; finalize publishes
+  /// the rest.
   void push(unsigned p, const pipe_event& ev) {
     producer_state& ps = *pstates[p];
     const std::uint64_t pos = ps.pushes++;
@@ -698,8 +699,7 @@ struct parallel_detector::impl {
       }
     }
     if (ring.free_slots() == 0) [[unlikely]] wait_for_slot(ps, ring);
-    ring.produce_slot(0) = ev;
-    ring.stage(1);
+    ring.push(ev);
   }
 
   /// Backpressure: publish what is staged (a consumer can only free slots

@@ -36,7 +36,9 @@
 ///    runnable work for deadlock_timeout_ms throws deadlock_error carrying a
 ///    dump of the wait graph — which tasks are blocked, what each waits on,
 ///    and the future/promise cycle when one exists (paper Appendix A) —
-///    instead of a bare timeout string.
+///    instead of a bare timeout string. A wait whose watchdog fired stays
+///    in the dump for the rest of the run, so the other waits of its cycle,
+///    whose watchdogs fire moments later, still report the whole cycle.
 ///  - finish scopes wait 3x the timeout before abandoning, so blocked
 ///    children fail first and the finish collects their errors; abandonment
 ///    (a child that never failed *and* never finished) leaks only that
@@ -45,6 +47,7 @@
 ///  - The destructor asserts that no task was leaked: everything spawned was
 ///    either executed or accounted for as discarded at shutdown.
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <deque>
@@ -93,6 +96,7 @@ class parallel_engine final : public engine {
     FUTRACE_CHECK_MSG(!running_, "run_program is not reentrant");
     running_ = true;
     done_.store(false, std::memory_order_relaxed);
+    timed_out_.clear();
     for (unsigned i = 1; i < worker_count_; ++i) {
       workers_[i]->thread.start([this, i] { worker_loop(i); });
     }
@@ -459,6 +463,7 @@ class parallel_engine final : public engine {
     const char* what = nullptr;           // "future" / "promise" / "finish scope"
     const std::atomic<std::int64_t>* finish_pending = nullptr;
     bool active = false;
+    bool timed_out = false;  // its watchdog fired (a timed_out_ entry)
     unsigned worker = 0;  // filled in when the dump snapshots the table
   };
 
@@ -565,9 +570,25 @@ class parallel_engine final : public engine {
           snapshot.push_back(copy);
         }
       }
+      for (const wait_record& r : timed_out_) {
+        // Until its task has unwound, a fired wait is also still active.
+        const bool active = std::any_of(
+            snapshot.begin(), snapshot.end(),
+            [&](const wait_record& a) { return a.task == r.task; });
+        if (!active) snapshot.push_back(r);
+      }
+      // This wait leaves the table as its task unwinds, before the task's
+      // future is published as failed. A wait on that future whose own
+      // watchdog fires in between would otherwise report a chain that
+      // ends at this task instead of the cycle.
+      wait_record mine = waits_[self].back();
+      mine.worker = self;
+      mine.timed_out = true;
+      timed_out_.push_back(mine);
     }
     for (const wait_record& r : snapshot) {
       out << "  blocked: task " << r.task << " (worker " << r.worker
+          << (r.timed_out ? ", timed out" : "")
           << (r.worker == self && r.task == self_task ? ", this wait" : "")
           << ") waiting on " << r.what;
       if (r.producer != k_invalid_task) {
@@ -718,6 +739,7 @@ class parallel_engine final : public engine {
 
   std::mutex wait_mutex_;
   std::vector<std::vector<wait_record>> waits_;  // per-worker nested waits
+  std::vector<wait_record> timed_out_;  // this run's fired watchdogs
 
   static thread_local tl_state tls_;
 };

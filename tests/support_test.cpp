@@ -627,8 +627,8 @@ TEST(BroadcastRing, PublishConsumeBatch) {
   broadcast_ring<int> ring(8, 1);
   EXPECT_EQ(ring.free_slots(), 8u);
   EXPECT_EQ(ring.readable(0), 0u);
-  for (int i = 0; i < 5; ++i) ring.produce_slot(i) = i * 10;
-  ring.publish(5);
+  for (int i = 0; i < 5; ++i) ring.push(i * 10);
+  ring.flush();
   EXPECT_EQ(ring.free_slots(), 3u);
   ASSERT_EQ(ring.readable(0), 5u);
   EXPECT_EQ(ring.position(0), 0u);
@@ -643,8 +643,8 @@ TEST(BroadcastRing, PublishConsumeBatch) {
   // full round of produce/consume must be possible again.
   for (int round = 0; round < 4; ++round) {
     ASSERT_GE(ring.free_slots(), 1u);
-    ring.produce_slot(0) = round;
-    ring.publish(1);
+    ring.push(round);
+    ring.flush();
     ASSERT_GE(ring.readable_refresh(0), 1u);
     EXPECT_EQ(ring.consume_slot(0, 0), round);
     ring.pop(0, 1);
@@ -659,16 +659,14 @@ TEST(BroadcastRing, StagedSlotsInvisibleUntilBatchOrFlush) {
   constexpr std::size_t kBatch = broadcast_ring<int>::k_publish_batch;
   ASSERT_LT(kBatch + 8, ring.capacity());
   for (std::size_t i = 0; i + 1 < kBatch; ++i) {
-    ring.produce_slot(0) = static_cast<int>(i);
-    ring.stage(1);
+    ring.push(static_cast<int>(i));
     ASSERT_EQ(ring.readable_refresh(0), 0u) << "staged " << i + 1;
     ASSERT_EQ(ring.readable_refresh(1), 0u) << "staged " << i + 1;
     ASSERT_EQ(ring.size_approx(), 0u);
   }
   EXPECT_EQ(ring.produced(), kBatch - 1);
   // The slot that fills the batch publishes the whole run.
-  ring.produce_slot(0) = static_cast<int>(kBatch - 1);
-  ring.stage(1);
+  ring.push(static_cast<int>(kBatch - 1));
   for (unsigned c = 0; c < 2; ++c) {
     ASSERT_EQ(ring.readable_refresh(c), kBatch);
     for (std::size_t i = 0; i < kBatch; ++i) {
@@ -678,8 +676,7 @@ TEST(BroadcastRing, StagedSlotsInvisibleUntilBatchOrFlush) {
   }
 
   // A short run stays invisible until flush().
-  for (int i = 0; i < 3; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = 100 + i;
-  ring.stage(3);
+  for (int i = 0; i < 3; ++i) ring.push(100 + i);
   EXPECT_EQ(ring.readable_refresh(0), 0u);
   ring.flush();
   ASSERT_EQ(ring.readable_refresh(0), 3u);
@@ -692,38 +689,23 @@ TEST(BroadcastRing, StagedSlotsInvisibleUntilBatchOrFlush) {
     }
     ring.pop(c, 3);
   }
-
-  // A multi-slot record staged in one call is never split by the batch
-  // rule: the run that crosses the batch size publishes whole.
-  for (std::size_t i = 0; i + 2 < kBatch; ++i) {
-    ring.produce_slot(0) = static_cast<int>(i);
-    ring.stage(1);
-  }
-  for (int i = 0; i < 5; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = -1 - i;
-  ring.stage(5);
-  ASSERT_EQ(ring.readable_refresh(1), kBatch - 2 + 5);
-  EXPECT_EQ(ring.consume_slot(1, kBatch - 2), -1);
-  EXPECT_EQ(ring.consume_slot(1, kBatch + 2), -5);
 }
 
-// Staged slots occupy the ring: free_slots() must count them, and
-// produce_slot() must index past them, or a producer would overwrite its
-// own unpublished run. A producer with more items than room stages only
-// what fits (partial fit) and waits for the consumers to free the rest.
+// Staged slots occupy the ring: free_slots() must count them, or a flush
+// would copy the block over slots a consumer has not retired. A producer
+// with more items than room stages only what fits (partial fit) and waits
+// for the consumers to free the rest.
 TEST(BroadcastRing, FreeSlotsCountStagedSlots) {
   broadcast_ring<int> ring(8, 1);
   EXPECT_EQ(ring.free_slots(), 8u);
-  for (int i = 0; i < 5; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = 100 + i;
-  ring.stage(5);
+  for (int i = 0; i < 5; ++i) ring.push(100 + i);
+  EXPECT_EQ(ring.produced(), 5u);
   EXPECT_EQ(ring.free_slots(), 3u);
   EXPECT_EQ(ring.free_slots_refresh(), 3u);
   EXPECT_EQ(ring.readable_refresh(0), 0u);
   // Twelve items wanted, three fit.
   const std::size_t fit = ring.free_slots();
-  for (std::size_t i = 0; i < fit; ++i) {
-    ring.produce_slot(i) = 105 + static_cast<int>(i);
-  }
-  ring.stage(fit);
+  for (std::size_t i = 0; i < fit; ++i) ring.push(105 + static_cast<int>(i));
   EXPECT_EQ(ring.free_slots(), 0u);
   EXPECT_EQ(ring.free_slots_refresh(), 0u);
   ring.flush();
@@ -733,14 +715,14 @@ TEST(BroadcastRing, FreeSlotsCountStagedSlots) {
   }
   ring.pop(0, 3);
   EXPECT_EQ(ring.free_slots(), 3u);  // the full view refreshes
-  ring.produce_slot(0) = 7;
-  ring.stage(1);
+  ring.push(7);
   EXPECT_EQ(ring.free_slots(), 2u);
 }
 
 // Heads and tail advance so staged runs straddle the buffer end, partly
-// behind published-but-unconsumed slots: every write and read must route
-// through the mask.
+// behind published-but-unconsumed slots: the flush must copy a run that
+// crosses the seam in two pieces, and every read must route through the
+// mask.
 TEST(BroadcastRing, StagingWrapsAcrossTheSeam) {
   broadcast_ring<std::uint64_t> ring(8, 1);
   std::uint64_t next_in = 0;
@@ -749,8 +731,7 @@ TEST(BroadcastRing, StagingWrapsAcrossTheSeam) {
     // Two staged runs of uneven length, one flush.
     for (const std::size_t run : {std::size_t{4}, std::size_t{2}}) {
       ASSERT_GE(ring.free_slots_refresh(), run) << "round " << round;
-      for (std::size_t i = 0; i < run; ++i) ring.produce_slot(i) = next_in++;
-      ring.stage(run);
+      for (std::size_t i = 0; i < run; ++i) ring.push(next_in++);
     }
     ring.flush();
     // Leave one slot unconsumed on odd rounds so the seam keeps moving.
@@ -772,9 +753,9 @@ TEST(BroadcastRing, StagingWrapsAcrossTheSeam) {
 }
 
 TEST(BroadcastRing, StagedTwoThreadStress) {
-  // Uneven staged runs (1..7 slots, like multi-slot records), flushes at
-  // irregular points and before every wait for space, and a consumer
-  // retiring uneven chunks: every value exactly once, in order.
+  // Uneven staged runs (1..7 slots), flushes at irregular points and
+  // before every wait for space, and a consumer retiring uneven chunks:
+  // every value exactly once, in order.
   broadcast_ring<std::uint64_t> ring(32, 1);
   constexpr std::uint64_t kItems = 50000;
   std::atomic<bool> failed{false};
@@ -808,14 +789,98 @@ TEST(BroadcastRing, StagedTwoThreadStress) {
       ring.flush();
       while (ring.free_slots_refresh() < run) std::this_thread::yield();
     }
-    for (std::size_t i = 0; i < run; ++i) ring.produce_slot(i) = produced + i;
-    ring.stage(run);
+    for (std::size_t i = 0; i < run; ++i) ring.push(produced + i);
     produced += run;
     if (++runs % 5 == 0) ring.flush();
   }
   ring.flush();
   consumer.join();
   EXPECT_FALSE(failed.load());
+}
+
+// The flush copies a staged block into the slot array in one burst, or in
+// two pieces when the block crosses the end of the array. Runs of 1..33
+// slots, each followed by a flush (a 33-slot run also flushes a full block
+// on its own), start staged blocks at every offset of a 64-slot ring, so
+// many of them cross the seam; three consumers drain concurrently, and
+// each must read every value once, at its position.
+TEST(BroadcastRing, StagedBatchCopiesAcrossEverySeamOffset) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::size_t kBatch = broadcast_ring<std::uint64_t>::k_publish_batch;
+  constexpr unsigned kConsumers = 3;
+  broadcast_ring<std::uint64_t> ring(kCapacity, kConsumers);
+  ASSERT_EQ(ring.capacity(), kCapacity);
+  // Cycle the run lengths until the blocks they stage have started at every
+  // offset (the same arithmetic the producer below checks on the ring).
+  std::vector<std::size_t> runs;
+  std::uint64_t total = 0;
+  {
+    std::vector<bool> covered(kCapacity, false);
+    std::size_t uncovered = kCapacity;
+    for (std::size_t k = 0; uncovered > 0; ++k) {
+      const std::size_t run = k % (kBatch + 1) + 1;
+      for (std::size_t i = 0; i < run; i += kBatch) {
+        const std::size_t offset = (total + i) % kCapacity;
+        if (!covered[offset]) {
+          covered[offset] = true;
+          --uncovered;
+        }
+      }
+      runs.push_back(run);
+      total += run;
+    }
+  }
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> consumers;
+  for (unsigned c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&, c] {
+      std::uint64_t expect = 0;
+      while (expect < total && !failed.load()) {
+        const std::size_t n = ring.readable(c);
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (ring.consume_slot(c, i) != expect + i ||
+              ring.position(c) + i != expect + i) {
+            failed.store(true);
+            return;
+          }
+        }
+        expect += n;
+        ring.pop(c, n);
+      }
+    });
+  }
+  std::vector<bool> started(kCapacity, false);
+  std::size_t crossings = 0;
+  for (const std::size_t run : runs) {
+    while (ring.free_slots_refresh() < run && !failed.load()) {
+      std::this_thread::yield();
+    }
+    if (failed.load()) break;
+    for (std::size_t i = 0; i < run; ++i) {
+      if (i % kBatch == 0) {  // the block is empty: a batch starts here
+        const std::size_t offset =
+            static_cast<std::size_t>(ring.produced()) % kCapacity;
+        started[offset] = true;
+        if (offset + std::min(run - i, kBatch) > kCapacity) ++crossings;
+      }
+      ring.push(ring.produced());
+    }
+    ring.flush();
+  }
+  for (std::thread& t : consumers) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(ring.produced(), total);
+  for (std::size_t offset = 0; offset < kCapacity; ++offset) {
+    EXPECT_TRUE(started[offset]) << "no batch started at offset " << offset;
+  }
+  EXPECT_GT(crossings, kCapacity / 2);
+  for (unsigned c = 0; c < kConsumers; ++c) {
+    EXPECT_EQ(ring.position(c), total);
+  }
 }
 
 #if defined(__linux__)
@@ -839,9 +904,12 @@ TEST(BroadcastRing, ConstructionTouchesNoSlots) {
   ASSERT_EQ(ring.capacity() * sizeof(detect::pipe_event), kBytes);
   const std::size_t grown = after > before ? after - before : 0;
   EXPECT_LT(grown, std::size_t{4} << 20);
-  // Writing a slot is what makes its page resident; the ring still works.
-  ring.produce_slot(0).a = 42;
-  ring.publish(1);
+  // Publishing a slot is what makes its page resident; the ring still
+  // works.
+  detect::pipe_event ev;
+  ev.a = 42;
+  ring.push(ev);
+  ring.flush();
   for (unsigned c = 0; c < 3; ++c) {
     ASSERT_EQ(ring.readable_refresh(c), 1u);
     EXPECT_EQ(ring.consume_slot(c, 0).a, 42u);
@@ -855,8 +923,8 @@ TEST(BroadcastRing, WrapsAroundManyTimes) {
   std::uint64_t next_out = 0;
   for (std::uint64_t v = 0; v < 1000; ++v) {
     ASSERT_GE(ring.free_slots(), 1u);
-    ring.produce_slot(0) = v;
-    ring.publish(1);
+    ring.push(v);
+    ring.flush();
     if (ring.readable_refresh(0) == ring.capacity() || v == 999) {
       const std::size_t n = ring.readable_refresh(0);
       for (std::size_t i = 0; i < n; ++i) {
@@ -870,9 +938,9 @@ TEST(BroadcastRing, WrapsAroundManyTimes) {
 
 TEST(BroadcastRing, FullMeansZeroFreeSlots) {
   broadcast_ring<int> ring(2, 1);
-  ring.produce_slot(0) = 1;
-  ring.produce_slot(1) = 2;
-  ring.publish(2);
+  ring.push(1);
+  ring.push(2);
+  ring.flush();
   EXPECT_EQ(ring.free_slots(), 0u);
   ASSERT_EQ(ring.readable(0), 2u);
   ring.pop(0, 1);
@@ -880,15 +948,15 @@ TEST(BroadcastRing, FullMeansZeroFreeSlots) {
 }
 
 // readable() deliberately skips the refresh while its cached view is
-// nonempty; readable_refresh() must observe later publishes anyway — the
-// partial-multi-slot-record wait depends on it.
+// nonempty; readable_refresh() must observe later publishes anyway — a
+// checker's sweep and a takeover depend on it.
 TEST(BroadcastRing, ReadableRefreshSeesNewSlotsBehindStaleCache) {
   broadcast_ring<int> ring(8, 2);
-  ring.produce_slot(0) = 1;
-  ring.publish(1);
+  ring.push(1);
+  ring.flush();
   EXPECT_EQ(ring.readable(1), 1u);  // caches tail = 1
-  ring.produce_slot(0) = 2;
-  ring.publish(1);
+  ring.push(2);
+  ring.flush();
   // The cached view is nonempty, so plain readable() may legitimately
   // still report 1; the refreshing variant must see both.
   EXPECT_EQ(ring.readable_refresh(1), 2u);
@@ -896,12 +964,13 @@ TEST(BroadcastRing, ReadableRefreshSeesNewSlotsBehindStaleCache) {
 
 // The producer-side livelock shape: free_slots() only refreshes its cached
 // minimum head when the view is COMPLETELY full, so a stale view showing
-// 0 < free < need would spin forever on a multi-slot record no matter how
-// far the consumers have advanced. free_slots_refresh() must see the drain.
+// 0 < free < need would spin forever on a wait for `need` slots no matter
+// how far the consumers have advanced. free_slots_refresh() must see the
+// drain.
 TEST(BroadcastRing, FreeSlotsRefreshSeesDrainBehindStalePartialView) {
   broadcast_ring<int> ring(8, 2);
-  for (int i = 0; i < 6; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = i;
-  ring.publish(6);
+  for (int i = 0; i < 6; ++i) ring.push(i);
+  ring.flush();
   EXPECT_EQ(ring.free_slots(), 2u);  // view: 2 free, not full, no refresh
   for (unsigned c = 0; c < 2; ++c) {
     ASSERT_EQ(ring.readable(c), 6u);
@@ -918,8 +987,8 @@ TEST(BroadcastRing, FreeSlotsRefreshSeesDrainBehindStalePartialView) {
 // run ahead, the producer may not touch a slot one consumer still holds.
 TEST(BroadcastRing, ProducerNeverOverwritesUnretiredSlot) {
   broadcast_ring<int> ring(8, 3);
-  for (int i = 0; i < 8; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = i;
-  ring.publish(8);
+  for (int i = 0; i < 8; ++i) ring.push(i);
+  ring.flush();
   for (unsigned c = 0; c < 2; ++c) {
     ASSERT_EQ(ring.readable(c), 8u);
     ring.pop(c, 8);
@@ -929,8 +998,8 @@ TEST(BroadcastRing, ProducerNeverOverwritesUnretiredSlot) {
   ASSERT_EQ(ring.readable(2), 8u);
   ring.pop(2, 3);
   ASSERT_EQ(ring.free_slots_refresh(), 3u);
-  for (int i = 0; i < 3; ++i) ring.produce_slot(static_cast<std::size_t>(i)) = 8 + i;
-  ring.publish(3);
+  for (int i = 0; i < 3; ++i) ring.push(8 + i);
+  ring.flush();
   EXPECT_EQ(ring.free_slots_refresh(), 0u);
   // Consumer 2's five unretired slots are intact behind the new ones.
   ASSERT_EQ(ring.readable_refresh(2), 8u);
@@ -985,8 +1054,7 @@ TEST(BroadcastRing, ThreeConsumersSeeEverySlotInOrder) {
       }
       continue;
     }
-    ring.produce_slot(0) = produced++;
-    ring.stage(1);
+    ring.push(produced++);
   }
   ring.flush();
   for (std::thread& t : consumers) t.join();
@@ -1058,8 +1126,7 @@ TEST(BroadcastRing, DeadConsumerSlotsReachItsSpillInOrder) {
         }
       }
     }
-    ring.produce_slot(0) = produced++;
-    ring.stage(1);
+    ring.push(produced++);
   }
   ring.flush();
   for (std::thread& t : consumers) t.join();
@@ -1109,10 +1176,8 @@ TEST(BroadcastRing, TwoThreadStress) {
       continue;
     }
     if (batch > kItems - produced) batch = kItems - produced;
-    for (std::size_t i = 0; i < batch; ++i) {
-      ring.produce_slot(i) = produced + i;
-    }
-    ring.publish(batch);
+    for (std::size_t i = 0; i < batch; ++i) ring.push(produced + i);
+    ring.flush();
     produced += batch;
   }
   consumer.join();
