@@ -1,6 +1,7 @@
 // Micro-benchmarks for the runtime substrate: construct overheads in each
-// execution mode, the detection ring and the pipelined transport, and
-// thread start/join.
+// execution mode, the detection ring and the pipelined transport, thread
+// start/join, a detection run's fixed cost, and the parallel engine on
+// crypt's task shape.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 
 #include "bench_main.hpp"
 
+#include "futrace/detect/parallel_pipeline.hpp"
 #include "futrace/detect/pipeline.hpp"
 #include "futrace/detect/race_detector.hpp"
 #include "futrace/runtime/runtime.hpp"
@@ -258,23 +260,61 @@ BENCHMARK(BM_RingPublishBatch)
     ->Args({1, 3})
     ->UseRealTime();
 
-// The pipelined detector end to end on crypt's per-task shape: the root
-// spawns 65,536 future tasks, each reading and writing one 8-byte block
-// with one bulk access apiece and stored into a handle array; the root then
-// reads the handles in bulk and gets every future. serial_dfs executes it,
-// three checker threads check it. Reports nanoseconds per wire event
-// (ns_per_event, printed in seconds with an SI prefix). At this size a run
-// sends about 393,000 events, some 24 laps of the 16,384-slot ring, so
-// the per-event transport dominates the run's fixed cost, as in
-// perfbench's crypt-tasks.
-void BM_PipelinedCryptShape(benchmark::State& state) {
-  constexpr std::size_t kTasks = 65536;
-  shared_array<std::uint8_t> input(kTasks * 8);
-  shared_array<std::uint8_t> output(kTasks * 8);
-  shared_array<future<void>> handles(kTasks);
-  auto body = [&] {
-    for (std::size_t t = 0; t < kTasks; ++t) {
-      handles.write(t, async_future([&input, &output, t] {
+// A detection run's fixed cost, through each mode's verdict: a program of
+// one finish holding one async, so construction, thread handoff and
+// finalize are nearly all of it. Pipelined runs three checkers; parallel
+// detection two workers and two checkers.
+enum class tiny_mode { inline_serial, pipelined, pardetect };
+
+void BM_TinyRun(benchmark::State& state, tiny_mode mode) {
+  const auto body = [] {
+    finish([] { async([] { benchmark::DoNotOptimize(0); }); });
+  };
+  const auto serial_verdict = [&body](auto& det) {
+    runtime rt({.mode = exec_mode::serial_dfs});
+    rt.add_observer(&det);
+    rt.run(body);
+    return det.race_detected();
+  };
+  for (auto _ : state) {
+    bool raced = false;
+    if (mode == tiny_mode::inline_serial) {
+      detect::race_detector det;
+      raced = serial_verdict(det);
+    } else if (mode == tiny_mode::pipelined) {
+      detect::pipelined_detector det({.detect_threads = 3});
+      raced = serial_verdict(det);
+    } else {
+      detect::parallel_detector det({}, {.checkers = 2});
+      runtime rt({.mode = exec_mode::parallel_detect, .workers = 2});
+      rt.add_parallel_sink(&det);
+      rt.run(body);
+      raced = det.race_detected();
+    }
+    benchmark::DoNotOptimize(raced);
+  }
+}
+BENCHMARK_CAPTURE(BM_TinyRun, inline, tiny_mode::inline_serial)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_TinyRun, pipelined, tiny_mode::pipelined)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_TinyRun, pardetect, tiny_mode::pardetect)
+    ->UseRealTime();
+
+// crypt-tasks' per-task shape: the root spawns kCryptTasks future tasks,
+// each reading and writing one 8-byte block with one bulk access apiece and
+// stored into a handle array; the root then reads the handles in bulk and
+// gets every future in order.
+constexpr std::size_t kCryptTasks = 65536;
+
+struct crypt_shape {
+  shared_array<std::uint8_t> input{kCryptTasks * 8};
+  shared_array<std::uint8_t> output{kCryptTasks * 8};
+  shared_array<future<void>> handles{kCryptTasks};
+
+  void run() {
+    for (std::size_t t = 0; t < kCryptTasks; ++t) {
+      handles.write(t, async_future([this, t] {
         const auto src = input.read_range(t * 8, 8);
         const auto dst = output.write_range(t * 8, 8);
         for (std::size_t i = 0; i < 8; ++i) {
@@ -282,18 +322,28 @@ void BM_PipelinedCryptShape(benchmark::State& state) {
         }
       }));
     }
-    const auto hs = handles.read_range(0, kTasks);
-    for (std::size_t t = 0; t < kTasks; ++t) {
+    const auto hs = handles.read_range(0, kCryptTasks);
+    for (std::size_t t = 0; t < kCryptTasks; ++t) {
       future<void> f = hs[t];
       f.get();
     }
-  };
+  }
+};
+
+// The pipelined detector end to end on crypt's shape: serial_dfs executes
+// it, three checker threads check it. Reports nanoseconds per wire event
+// (ns_per_event, printed in seconds with an SI prefix). At this size a run
+// sends about 393,000 events, some 24 laps of the 16,384-slot ring, so
+// the per-event transport dominates the run's fixed cost, as in
+// perfbench's crypt-tasks.
+void BM_PipelinedCryptShape(benchmark::State& state) {
+  crypt_shape shape;
   std::uint64_t events = 0;
   for (auto _ : state) {
     detect::pipelined_detector det({.detect_threads = 3});
     runtime rt({.mode = exec_mode::serial_dfs});
     rt.add_observer(&det);
-    rt.run(body);
+    rt.run([&shape] { shape.run(); });
     benchmark::DoNotOptimize(det.race_detected());
     events += det.pipe_stats().events;
   }
@@ -304,6 +354,27 @@ void BM_PipelinedCryptShape(benchmark::State& state) {
                              benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_PipelinedCryptShape)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// The work-stealing engine alone on crypt's shape, at 1, 2 and 4 workers,
+// with no detector: the execution half of crypt-tasks' parallel-detect
+// time. Main spawns every future before it gets the first, so thieves take
+// tasks the spawner allocated and free them there.
+void BM_ParallelFutureFanOut(benchmark::State& state) {
+  const auto workers = static_cast<unsigned>(state.range(0));
+  crypt_shape shape;
+  for (auto _ : state) {
+    runtime rt({.mode = exec_mode::parallel, .workers = workers});
+    rt.run([&shape] { shape.run(); });
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kCryptTasks));
+}
+BENCHMARK(BM_ParallelFutureFanOut)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -77,6 +77,18 @@ void BM_ShadowDirectAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_ShadowDirectAccess);
 
+// A detection run's fixed cost: build and destroy a default detector (its
+// reachability graph, shadow memory and site table). Every inline run pays
+// it once; a pipelined or parallel-detect run pays it once per replica.
+void BM_DetectorConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    race_detector det;
+    benchmark::DoNotOptimize(&det);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DetectorConstruct);
+
 // Detector driven directly through its observer interface: repeated writes
 // by one task (the same-task fast path every sequential program hits).
 void BM_DetectorSameTaskWrites(benchmark::State& state) {

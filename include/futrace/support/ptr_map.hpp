@@ -7,6 +7,13 @@
 /// node allocations and pointer chasing of std::unordered_map. Linear
 /// probing, power-of-two capacity, 0 as the empty-key sentinel (no valid
 /// object lives at address 0).
+///
+/// The table is allocated at the first insertion, not at construction: an
+/// empty map owns no memory. Most shadows never store a hashed cell (slabs
+/// serve array accesses, and a pipelined producer's span shadow stores
+/// none), and zero-filling a 1,024-slot table at construction and walking
+/// it at destruction was most of what building and destroying a detector
+/// cost (DESIGN.md §9).
 
 #include <cstdint>
 #include <utility>
@@ -19,11 +26,12 @@ namespace futrace::support {
 template <typename V>
 class ptr_map {
  public:
+  /// `initial_capacity` sizes the first table (rounded up to a power of
+  /// two, at least 16); nothing is allocated until the first insertion.
   explicit ptr_map(std::size_t initial_capacity = 1024) {
     std::size_t cap = 16;
     while (cap < initial_capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
+    mask_ = cap - 1;  // the first table's, until there is one
   }
 
   std::size_t size() const noexcept { return size_; }
@@ -48,6 +56,7 @@ class ptr_map {
 
   /// Returns a pointer to the value for `key`, or nullptr if absent.
   V* find(const void* key) {
+    if (size_ == 0) return nullptr;  // also covers "no table yet"
     const std::uintptr_t k = reinterpret_cast<std::uintptr_t>(key);
     std::size_t i = index_of(k);
     while (slots_[i].key != 0) {
@@ -65,6 +74,7 @@ class ptr_map {
   /// 50% load target for the current size (floor 16 slots). Epoch
   /// compaction calls this after a workload's peak so the steady-state
   /// table footprint tracks the live entry count, not the high-water mark.
+  /// A map with no table keeps none.
   void shrink() {
     std::size_t cap = 16;
     while (cap < (size_ + 1) * 2) cap <<= 1;
@@ -78,6 +88,7 @@ class ptr_map {
   /// raw resources (shadow cells' overflow pointers) are not left dangling
   /// in dead slots.
   bool erase(const void* key) {
+    if (size_ == 0) return false;
     const std::uintptr_t k = reinterpret_cast<std::uintptr_t>(key);
     std::size_t i = index_of(k);
     while (slots_[i].key != k) {
@@ -123,7 +134,7 @@ class ptr_map {
   }
 
   /// Approximate heap footprint of the table itself (not of heap memory the
-  /// values may own).
+  /// values may own); 0 before the first insertion.
   std::size_t table_bytes() const noexcept {
     return slots_.capacity() * sizeof(slot);
   }
@@ -131,8 +142,10 @@ class ptr_map {
   /// Footprint the table will have after one more insertion, accounting for
   /// the growth step the insert would trigger. Lets byte-capped owners
   /// (shadow memory under a resource limit) refuse the insert instead of
-  /// committing to the enlarged table.
+  /// committing to the enlarged table. Before the first insertion that is
+  /// the first table.
   std::size_t bytes_after_insert() const noexcept {
+    if (slots_.empty()) return (mask_ + 1) * sizeof(slot);
     if ((size_ + 1) * 2 <= slots_.size()) return table_bytes();
     const std::size_t grown =
         slots_.size() < (1u << 22) ? slots_.size() * 4 : slots_.size() * 2;
@@ -155,6 +168,10 @@ class ptr_map {
   }
 
   void grow() {
+    if (slots_.empty()) {  // the first insertion
+      slots_.resize(mask_ + 1);
+      return;
+    }
     // Quadruple while moderate: rehashing is a full zero+copy pass over a
     // table that no longer fits cache, so fewer, bigger growth steps win.
     rehash(slots_.size() < (1u << 22) ? slots_.size() * 4 : slots_.size() * 2);

@@ -18,21 +18,12 @@
 #include "futrace/obs/trace.hpp"
 #include "futrace/support/alloc_gate.hpp"
 #include "futrace/support/assert.hpp"
+#include "futrace/support/spin_pause.hpp"
 #include "futrace/support/thread_pool.hpp"
 
 namespace futrace::detect {
 
 namespace {
-
-inline void spin_pause() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#else
-  std::this_thread::yield();
-#endif
-}
 
 /// Bounded busy-wait: pause for a short burst, then hand the core to the
 /// scheduler, because on an oversubscribed machine the thread being waited
@@ -41,7 +32,7 @@ struct spin_backoff {
   unsigned spins = 0;
   void wait() noexcept {
     if (++spins < 64) {
-      spin_pause();
+      support::spin_pause();
     } else {
       std::this_thread::yield();
     }
@@ -695,7 +686,7 @@ struct parallel_detector::impl {
         [[unlikely]] {
       for (std::uint32_t i = 0; i < forced; ++i) {
         ++ps.backpressure_waits;
-        spin_pause();
+        support::spin_pause();
       }
     }
     if (ring.free_slots() == 0) [[unlikely]] wait_for_slot(ps, ring);

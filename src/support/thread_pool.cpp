@@ -3,6 +3,7 @@
 #include <pthread.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -11,6 +12,7 @@
 
 #include "futrace/support/assert.hpp"
 #include "futrace/support/reentry.hpp"
+#include "futrace/support/spin_pause.hpp"
 
 namespace futrace::support {
 
@@ -24,13 +26,20 @@ struct pool_slot {
   /// Bodies handed to this slot so far, and bodies it has finished. The
   /// thread runs body number `started` while `done` trails it; the handle
   /// of body n joins once done >= n, even if the slot has taken a later
-  /// body by then.
-  std::uint64_t started = 0;  // guarded by mutex
-  std::uint64_t done = 0;     // guarded by mutex
-  pool_slot* next_idle = nullptr;  // guarded by the pool's mutex
+  /// body by then. `done` is written under mutex, so a parked joiner
+  /// cannot miss it, and is atomic so a spinning joiner may read it
+  /// without the lock.
+  std::uint64_t started = 0;           // guarded by mutex
+  std::atomic<std::uint64_t> done{0};  // written under mutex
+  pool_slot* next_idle = nullptr;      // guarded by the pool's mutex
 };
 
 namespace {
+
+/// How long join() polls the slot before it parks. A detection run's
+/// checkers usually end within microseconds of the producer's join, and a
+/// parked joiner wakes about 10 µs after its body ends.
+constexpr auto k_join_spin = std::chrono::microseconds(50);
 
 struct pool {
   std::mutex mutex;
@@ -58,7 +67,9 @@ pool& the_pool() {
 void thread_main(pool_slot* s) noexcept {
   std::unique_lock<std::mutex> lock(s->mutex);
   for (;;) {
-    s->wake.wait(lock, [s] { return s->done != s->started; });
+    s->wake.wait(lock, [s] {
+      return s->done.load(std::memory_order_relaxed) != s->started;
+    });
     const std::uint64_t number = s->started;
     std::function<void()> body = std::move(s->body);
     lock.unlock();
@@ -76,7 +87,7 @@ void thread_main(pool_slot* s) noexcept {
       p.idle = s;
     }
     lock.lock();
-    s->done = number;
+    s->done.store(number, std::memory_order_release);
     s->finished.notify_all();
   }
 }
@@ -117,8 +128,18 @@ void pooled_thread::start(std::function<void()> body) {
 void pooled_thread::join() {
   FUTRACE_CHECK_MSG(slot_ != nullptr, "join of a pooled_thread not started");
   pool_slot* s = std::exchange(slot_, nullptr);
-  std::unique_lock<std::mutex> lock(s->mutex);
-  s->finished.wait(lock, [this, s] { return s->done >= number_; });
+  const auto finished = [this, s] {
+    return s->done.load(std::memory_order_acquire) >= number_;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + k_join_spin;
+  while (!finished()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      std::unique_lock<std::mutex> lock(s->mutex);
+      s->finished.wait(lock, finished);
+      return;
+    }
+    spin_pause();
+  }
 }
 
 std::uint64_t pool_threads_created() {

@@ -239,6 +239,23 @@ TEST(DirectShadow, RegisteredRangeServedFromSlab) {
   EXPECT_EQ(shadow.try_access(&buf[5])->writer, 5u);
 }
 
+// The hashed table is allocated at its first insert: a fresh shadow owns no
+// memory, and accesses that only slabs serve never allocate the table.
+TEST(DirectShadow, SlabOnlyAccessesAllocateNoHashedTable) {
+  std::vector<int> buf(64);
+  region_guard reg(buf.data(), buf.size() * sizeof(int), sizeof(int));
+  ASSERT_TRUE(reg.ok_);
+
+  shadow_memory shadow;
+  EXPECT_EQ(shadow.memory_bytes(), 0u);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    shadow.access(&buf[i]).writer = static_cast<task_id>(i);
+    ASSERT_NE(shadow.try_access(&buf[i]), nullptr);
+  }
+  EXPECT_EQ(shadow.stats().hashed_hits, 0u);
+  EXPECT_EQ(shadow.memory_bytes(), buf.size() * sizeof(shadow_cell));
+}
+
 TEST(DirectShadow, ScalarAccessesStayHashed) {
   std::vector<int> buf(16);
   region_guard reg(buf.data(), buf.size() * sizeof(int), sizeof(int));
@@ -404,8 +421,11 @@ TEST(DirectShadow, RefusedLazyAllocationFallsBackToHashed) {
             nullptr);
   EXPECT_EQ(shadow.try_access(&buf[3])->writer, 3u);
   EXPECT_EQ(shadow.location_count(), 1u);
+  // The evicted slab's bytes left; the fallback's insert allocated the
+  // hashed table.
   EXPECT_EQ(shadow.memory_bytes() + buf.size() * sizeof(shadow_cell),
-            bytes_with_slab);
+            bytes_with_slab +
+                futrace::support::ptr_map<shadow_cell>().bytes_after_insert());
 }
 
 // A slab whose summary already holds accesses cannot hand them over without

@@ -517,6 +517,42 @@ TEST(PtrMap, EraseUnderCollisionClusterKeepsProbeChainsIntact) {
   }
 }
 
+TEST(PtrMap, TableAllocatedAtFirstInsert) {
+  // Slot = 8-byte key + 8-byte value: the table's bytes count its slots.
+  constexpr std::size_t k_slot = 2 * sizeof(std::uintptr_t);
+  ptr_map<std::uintptr_t> m;
+  int keys[2] = {};
+  EXPECT_EQ(m.table_bytes(), 0u);
+  EXPECT_EQ(m.find(&keys[0]), nullptr);
+  EXPECT_FALSE(m.erase(&keys[0]));
+  int visited = 0;
+  m.for_each([&](const void*, std::uintptr_t&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  m.shrink();
+  EXPECT_EQ(m.table_bytes(), 0u);
+  // A byte-capped owner decides on the first table before inserting.
+  EXPECT_EQ(m.bytes_after_insert(), 1024 * k_slot);
+
+  m[&keys[0]] = 5;
+  EXPECT_EQ(m.table_bytes(), 1024 * k_slot);
+  ASSERT_NE(m.find(&keys[0]), nullptr);
+  EXPECT_EQ(*m.find(&keys[0]), 5u);
+
+  // Erased back to empty: the table stays, lookups still answer.
+  EXPECT_TRUE(m.erase(&keys[0]));
+  EXPECT_EQ(m.find(&keys[0]), nullptr);
+  EXPECT_FALSE(m.erase(&keys[1]));
+  EXPECT_EQ(m.table_bytes(), 1024 * k_slot);
+  m[&keys[1]] = 6;
+  EXPECT_EQ(*m.find(&keys[1]), 6u);
+
+  ptr_map<std::uintptr_t> small(16);
+  EXPECT_EQ(small.table_bytes(), 0u);
+  EXPECT_EQ(small.bytes_after_insert(), 16 * k_slot);
+  small[&keys[0]] = 1;
+  EXPECT_EQ(small.table_bytes(), 16 * k_slot);
+}
+
 TEST(PtrMap, CollisionClusteringStaysBoundedAtTargetLoad) {
   // At the 50% load target a linear-probe lookup should stay near one
   // probe; sequential addresses are the worst realistic case because they
@@ -720,9 +756,8 @@ TEST(BroadcastRing, FreeSlotsCountStagedSlots) {
 }
 
 // Heads and tail advance so staged runs straddle the buffer end, partly
-// behind published-but-unconsumed slots: the flush must copy a run that
-// crosses the seam in two pieces, and every read must route through the
-// mask.
+// behind published-but-unconsumed slots: the flush must wrap a run that
+// crosses the seam, and every read must route through the mask.
 TEST(BroadcastRing, StagingWrapsAcrossTheSeam) {
   broadcast_ring<std::uint64_t> ring(8, 1);
   std::uint64_t next_in = 0;
@@ -798,8 +833,8 @@ TEST(BroadcastRing, StagedTwoThreadStress) {
   EXPECT_FALSE(failed.load());
 }
 
-// The flush copies a staged block into the slot array in one burst, or in
-// two pieces when the block crosses the end of the array. Runs of 1..33
+// The flush copies a staged block into the slot array in one burst, slot by
+// slot through the mask, wrapping at the end of the array. Runs of 1..33
 // slots, each followed by a flush (a 33-slot run also flushes a full block
 // on its own), start staged blocks at every offset of a 64-slot ring, so
 // many of them cross the seam; three consumers drain concurrently, and

@@ -242,6 +242,38 @@ TEST(ThreadPool, ParkedThreadRunsTheNextBody) {
   EXPECT_NE(first, std::this_thread::get_id());
 }
 
+/// join() polls before it parks, so a body may end before the join, while
+/// the joiner spins, or long after it parked. In every case join() returns
+/// only once the body's captures are destroyed.
+TEST(ThreadPool, JoinAcrossTheSpinBudget) {
+  using clock = std::chrono::steady_clock;
+  const std::chrono::microseconds lengths[] = {
+      std::chrono::microseconds(0),      // ends at once
+      std::chrono::microseconds(10),     // inside the 50 µs spin
+      std::chrono::microseconds(5000)};  // well past it: the joiner parks
+  for (const std::chrono::microseconds length : lengths) {
+    for (int round = 0; round < 10; ++round) {
+      auto token = std::make_shared<int>(round);
+      const std::weak_ptr<int> watch = token;
+      support::pooled_thread t;
+      t.start([token = std::move(token), length] {
+        if (length > std::chrono::milliseconds(1)) {
+          std::this_thread::sleep_for(length);
+        } else {
+          // Sleeping would overshoot a few µs by the timer slack.
+          const auto end = clock::now() + length;
+          while (clock::now() < end) {
+          }
+        }
+      });
+      t.join();
+      EXPECT_TRUE(watch.expired())
+          << "join returned before the captures died: body of "
+          << length.count() << " µs, round " << round;
+    }
+  }
+}
+
 /// Every started body gets a thread of its own: these four bodies each
 /// wait until all four run, which only a pool that grows can satisfy.
 TEST(ThreadPool, ConcurrentBodiesEachGetAThread) {
